@@ -178,12 +178,15 @@ def elliptical_rank_test(samples, score="wilcoxon"):
 
 def sphericized_center_outward_test(samples, score="wilcoxon", scatter="sample", *,
                                     n_r=None, n_s=None, symmetrize=True,
-                                    tie_break_seed=0):
+                                    tie_break_seed=0, grid=None):
     """Center-outward K-group test on standardized data.
 
     The pooled sample is sphericized (Cholesky root; ``scatter`` is
     "sample" or "tyler") and the usual center-outward test runs on the
     result.  Trades some distribution-freeness for affine invariance.
+    The grid options, and ``grid`` (a prebuilt Grid for the pooled
+    sample that overrides them), mean what they mean in
+    :func:`~corank.rank_tests.two_sample_test`.
     """
     samples = _validate_groups(samples, 2)
     pooled = np.vstack(samples)
@@ -200,7 +203,7 @@ def sphericized_center_outward_test(samples, score="wilcoxon", scatter="sample",
         "co-sphericized-two-sample" if len(samples) == 2 else "co-sphericized-manova"
     )
     return _co_k_sample(
-        groups, score, method, n_r, n_s, symmetrize, tie_break_seed, None
+        groups, score, method, n_r, n_s, symmetrize, tie_break_seed, grid
     )
 
 

@@ -16,8 +16,8 @@ Non-spherical scores are supported through :class:`VectorScore`, a raw
 map from ball points to score vectors with a user-supplied (or
 grid-estimated) d x d score covariance.
 
-The chi-square tail helpers are built on the regularized incomplete
-gamma; the quantile inverts the cdf by bracketed root-finding.
+The chi-square helpers are built on the regularized incomplete gamma;
+the quantile is its closed-form inverse, ``2 * gammaincinv(d/2, p)``.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammainc, gammaincc, gammaincinv
 
 from .errors import InvalidInputError, InvalidScoreError
 
@@ -57,37 +56,40 @@ def chi_sq_sf(d, x):
 
 
 def chi_sq_quantile(d, p):
-    """Chi-square(d) quantile by root-finding on the cdf.
+    """Chi-square(d) quantile through the inverse regularized lower gamma.
+
+    ``Q_d(p) = 2 * gammaincinv(d/2, p)``, evaluated elementwise.
 
     Parameters
     ----------
     d : int
         Degrees of freedom, >= 1.
-    p : float
-        Probability in (0, 1).
+    p : float or array
+        Probabilities, each in the open interval (0, 1).
 
     Returns
     -------
-    float
+    float or ndarray
+        A float for a scalar ``p``, otherwise an array of ``p``'s shape.
     """
     if d < 1:
         raise InvalidInputError(f"dof must be >= 1, got {d}")
-    if not 0.0 < p < 1.0:
-        raise InvalidInputError(f"quantile level must be in (0, 1), got {p}")
-    hi = d + 10.0 * np.sqrt(d) + 10.0
-    while chi_sq_cdf(d, hi) < p:
-        hi *= 2.0
-    return brentq(
-        lambda x: chi_sq_cdf(d, x) - p, 0.0, hi,
-        xtol=1e-13, rtol=4.0 * np.finfo(float).eps,
-    )
+    arr = np.asarray(p, dtype=float)
+    ok = (arr > 0.0) & (arr < 1.0)  # False for NaN
+    if not ok.all():
+        raise InvalidInputError(
+            f"quantile level must be in (0, 1), got {arr[~ok][0]}"
+        )
+    q = 2.0 * gammaincinv(d / 2.0, arr)
+    return float(q) if q.ndim == 0 else q
 
 
 def _vdw_j(d, r):
-    # quantiles are monotone and ranks repeat, so evaluate per unique value
-    uniq, inv = np.unique(r, return_inverse=True)
-    q = np.array([0.0 if u == 0.0 else chi_sq_quantile(d, u) for u in uniq])
-    return np.sqrt(q)[inv].reshape(np.shape(r))
+    # J(0) = 0; the positive ranks go through the quantile in one call
+    q = np.zeros_like(r)
+    pos = r > 0.0
+    q[pos] = chi_sq_quantile(d, r[pos])
+    return np.sqrt(q)
 
 
 @dataclass(frozen=True)

@@ -152,11 +152,8 @@ def _run_method(method, groups, config, grid):
             return two_sample_test(groups[0], groups[1], config.score, grid=grid)
         return manova_test(groups, config.score, grid=grid)
     if method == "co-sphericized":
-        spec = grid.spec
         return sphericized_center_outward_test(
-            groups, config.score, config.scatter,
-            n_r=spec.n_r, n_s=spec.n_s, symmetrize=spec.symmetrize,
-            tie_break_seed=grid.tie_break_seed,
+            groups, config.score, config.scatter, grid=grid
         )
     if method == "elliptical":
         return elliptical_rank_test(groups, config.score)

@@ -10,11 +10,13 @@ from corank import (
     InvalidInputError,
     NumericalError,
     ScatterEstimate,
+    build_grid,
     chi_sq_quantile,
     chi_sq_sf,
     elliptical_rank_test,
     elliptical_ranks_signs,
     hotelling_two_sample,
+    make_spec,
     pillai_manova,
     sample_covariance,
     sphericize,
@@ -200,6 +202,25 @@ def test_sphericized_test_tyler_scatter():
     assert np.isfinite(res.statistic)
     with pytest.raises(InvalidInputError):
         sphericized_center_outward_test(groups, scatter="mcd")
+
+
+def test_sphericized_test_prebuilt_grid_matches_grid_options():
+    rng = np.random.default_rng(52)
+    groups = [rng.standard_normal((25, 2)), rng.standard_normal((25, 2)) + 0.3]
+    spec = make_spec(50, 2, n_r=4, n_s=12, symmetrize=True)
+    assert spec.n_0 == 2  # randomly directed tie-break points: the seed matters
+    stats = set()
+    for s in (7, 8):
+        built = sphericized_center_outward_test(
+            groups, "vdw", grid=build_grid(spec, tie_break_seed=s)
+        )
+        direct = sphericized_center_outward_test(
+            groups, "vdw", n_r=4, n_s=12, tie_break_seed=s
+        )
+        assert built.statistic == direct.statistic
+        assert built.p_value == direct.p_value
+        stats.add(built.statistic)
+    assert len(stats) == 2
 
 
 def test_hotelling_zero_iff_equal_means():

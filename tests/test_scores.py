@@ -9,6 +9,7 @@ values for the general-d spot checks.
 import numpy as np
 import pytest
 from scipy.special import ndtri
+from scipy.stats import chi2
 
 import corank
 from corank import (
@@ -55,6 +56,24 @@ def test_chi_sq_quantile_oracles():
     assert chi_sq_quantile(1, 0.5) == pytest.approx(ndtri(0.75) ** 2, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "d, p", [(3, 1.0 - 1e-12), (4, 1.0 - 1e-6), (3, 1e-10), (2, 0.95)]
+)
+def test_chi_sq_quantile_precision_against_mpmath(d, p):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        # bisect the 50-digit regularized lower gamma at the exact double p
+        level, lo, hi = mp.mpf(p), mp.mpf(0), mp.mpf(100)
+        for _ in range(240):
+            mid = (lo + hi) / 2
+            if mp.gammainc(mp.mpf(d) / 2, 0, mid, regularized=True) < level:
+                lo = mid
+            else:
+                hi = mid
+        want = float(lo + hi)  # 2 * the root of P(d/2, h) = p
+    assert abs(chi_sq_quantile(d, p) - want) <= 1e-14 * want
+
+
 def test_chi_sq_quantile_sf_round_trip():
     for d in range(1, 21):
         for p in (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
@@ -63,8 +82,11 @@ def test_chi_sq_quantile_sf_round_trip():
 
 
 def test_chi_sq_rejects_bad_arguments():
-    with pytest.raises(InvalidInputError):
-        chi_sq_quantile(2, 0.0)
+    for bad in (0.0, 1.0, np.nan):
+        with pytest.raises(InvalidInputError):
+            chi_sq_quantile(2, bad)
+        with pytest.raises(InvalidInputError):
+            chi_sq_quantile(2, np.array([0.5, bad, 0.25]))
     with pytest.raises(InvalidInputError):
         chi_sq_quantile(0, 0.5)
     with pytest.raises(InvalidInputError):
@@ -91,6 +113,20 @@ def test_van_der_waerden_closed_form_d2():
     rs = np.linspace(0.01, 0.99, 23)
     assert np.allclose(score.evaluate(rs), np.sqrt(-2.0 * np.log1p(-rs)), atol=1e-9)
     assert score.norm_sq() == 2.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_van_der_waerden_vectorized_matches_scalar_and_scipy(d):
+    n_r = 12
+    arr = np.array([0, 3, 3, 1, 0, 7, n_r, n_r, 5, 3], dtype=float) / (n_r + 1)
+    score = van_der_waerden_score(d)
+    vals = score.evaluate(arr)
+    assert np.array_equal(vals, [score.evaluate(r) for r in arr])
+    assert vals[0] == vals[4] == 0.0
+    want = np.sqrt(chi2.ppf(arr, d))
+    assert np.all(np.abs(vals - want) <= 1e-14 * want)
+    assert isinstance(chi_sq_quantile(d, arr[1]), float)
+    assert chi_sq_quantile(d, arr[1:4]).shape == (3,)
 
 
 def test_van_der_waerden_norm_matches_dimension():
