@@ -13,7 +13,6 @@ Carlo harness ship alongside.
 
 from .assignment import (
     Pairing,
-    brute_force_assignment,
     solve_assignment,
     squared_cost,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "SimulationError",
     "TestResult",
     "VectorScore",
-    "brute_force_assignment",
     "build_grid",
     "chi_sq_cdf",
     "chi_sq_quantile",

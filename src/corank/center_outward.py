@@ -33,15 +33,20 @@ class CenterOutwardMap:
     assignment : (n,) ndarray
         Index into ``grid.points`` per observation.
     total_cost : float
-        Total squared distance of the optimal pairing.
+        Total squared distance of the optimal pairing of the given
+        (uncentred) sample.
     grid : Grid
         The target grid (carries the rank/sign bookkeeping).
+    offset : (d,) ndarray
+        Coordinate-wise median subtracted from the sample before the
+        cost matrix is formed.
     """
 
     values: np.ndarray
     assignment: np.ndarray
     total_cost: float
     grid: Grid
+    offset: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,15 @@ def empirical_map(sample, grid, tie_break_seed=0):
     Returns
     -------
     CenterOutwardMap
+
+    Notes
+    -----
+    A translation of the sample adds only row and column constants to
+    the squared-distance cost, so it leaves the optimal assignment
+    unchanged in exact arithmetic.  In floating point a large common
+    offset swamps the small differences that decide the assignment;
+    the coordinate-wise median is therefore subtracted before the cost
+    matrix is formed, and reported as ``offset``.
     """
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 2:
@@ -106,12 +120,17 @@ def empirical_map(sample, grid, tie_break_seed=0):
         raise InvalidInputError(
             f"grid shape ({grid.n}, {grid.d}) does not match sample shape ({n}, {d})"
         )
-    pairing = solve_assignment(squared_cost(sample, grid.points))
+    # np.median's value, without its fixed cost of about 20 us per call
+    ordered = np.sort(sample, axis=0)
+    offset = (ordered[(n - 1) // 2] + ordered[n // 2]) / 2
+    assignment = solve_assignment(squared_cost(sample - offset, grid.points)).assignment
+    values = grid.points[assignment]
     return CenterOutwardMap(
-        values=grid.points[pairing.assignment],
-        assignment=pairing.assignment,
-        total_cost=pairing.total_cost,
+        values=values,
+        assignment=assignment,
+        total_cost=float(((sample - values) ** 2).sum(axis=1).sum()),
         grid=grid,
+        offset=offset,
     )
 
 

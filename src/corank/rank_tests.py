@@ -289,7 +289,7 @@ def _co_k_sample(samples, score, method, n_r, n_s, symmetrize, tie_break_seed, g
         d=d,
         score=getattr(score, "kind", "vector"),
         grid_spec=grid.spec,
-        seed=tie_break_seed,
+        seed=grid.tie_break_seed,
     )
 
 
@@ -384,5 +384,5 @@ def regression_test(y, c, beta0=None, score="wilcoxon", *, n_r=None, n_s=None,
         d=d,
         score=getattr(score, "kind", "vector"),
         grid_spec=grid.spec,
-        seed=tie_break_seed,
+        seed=grid.tie_break_seed,
     )

@@ -11,7 +11,6 @@ from scipy import stats as sps
 
 import corank
 from corank import (
-    brute_force_assignment,
     build_grid,
     chi_sq_quantile,
     empirical_map,
@@ -29,6 +28,7 @@ from corank import (
     two_sample_test,
 )
 from corank.rank_tests import k_sample_statistic
+from oracles import brute_force_assignment
 
 
 def _line(num, ok, detail):

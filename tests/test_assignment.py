@@ -2,15 +2,21 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from corank import (
     InvalidInputError,
-    brute_force_assignment,
+    assignment,
     build_grid,
+    make_law,
     make_spec,
+    sample,
     solve_assignment,
     squared_cost,
 )
+from oracles import brute_force_assignment
+
+LAWS = ("gauss", "t3", "mix2cauchy")
 
 
 def test_squared_cost_single_point():
@@ -141,3 +147,55 @@ def test_pairing_cost_consistent_with_assignment():
     pairing = solve_assignment(cost)
     recomputed = cost[np.arange(8), pairing.assignment].sum()
     assert pairing.total_cost == pytest.approx(recomputed, abs=1e-12)
+
+
+def _law_cost(law, n, d, seed):
+    # d/2 independent draws of the bivariate law side by side
+    rng = np.random.default_rng(seed)
+    z = np.hstack([sample(make_law(law), n, rng) for _ in range(d // 2)])
+    return squared_cost(z, build_grid(make_spec(n, d, symmetrize=True)))
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("n", [249, 250, 400, 1000])
+def test_warm_start_matches_dense_solver(n, d, law):
+    # 249 stays on the cold path; 250 and up solve a coarse subproblem
+    # first (1000 recursively) and must land on the very same bijection
+    cost = _law_cost(law, n, d, [n, d, LAWS.index(law)])
+    rows, cols = linear_sum_assignment(cost)
+    pairing = solve_assignment(cost)
+    assert np.array_equal(pairing.assignment, cols)
+    assert pairing.total_cost == cost[rows, cols].sum()
+
+
+def test_warm_start_exact_on_tied_integer_costs():
+    # integer lattice points with repeats: many optimal bijections
+    rng = np.random.default_rng(300)
+    cost = squared_cost(rng.integers(-3, 4, (300, 2)), rng.integers(-2, 3, (300, 2)))
+    rows, cols = linear_sum_assignment(cost)
+    first = solve_assignment(cost)
+    second = solve_assignment(cost)
+    assert sorted(first.assignment) == list(range(300))
+    assert first.total_cost == cost[rows, cols].sum()
+    assert np.array_equal(first.assignment, second.assignment)
+    assert first.total_cost == second.total_cost
+
+
+def test_warm_start_exact_for_any_potential(monkeypatch):
+    # the potential only shifts rows and columns: a useless one costs
+    # time, never the optimum
+    cost = _law_cost("mix2cauchy", 400, 2, 401)
+    rows, cols = linear_sum_assignment(cost)
+    rng = np.random.default_rng(402)
+    calls = []
+
+    def random_potential(c):
+        calls.append(c.shape[0])
+        return rng.uniform(-1.0, 1.0, c.shape[0]) * c.max()
+
+    monkeypatch.setattr(assignment, "_column_potential", random_potential)
+    pairing = solve_assignment(cost)
+    assert calls == [400]
+    assert np.array_equal(pairing.assignment, cols)
+    assert pairing.total_cost == cost[rows, cols].sum()

@@ -17,10 +17,14 @@ from corank import (
     InvalidSpecError,
     build_grid,
     empirical_map,
+    make_law,
     make_spec,
     ranks_signs,
     ranks_signs_to_csv,
+    sample,
+    two_sample_test,
 )
+from oracles import brute_force_assignment
 
 
 def _rotation(theta):
@@ -61,8 +65,35 @@ def test_collinear_sample_fills_the_line_grid():
     expected = np.array([[-2 / 3, 0.0], [-1 / 3, 0.0], [1 / 3, 0.0], [2 / 3, 0.0]])
     assert np.allclose(com.values, expected, atol=1e-15)
     # cross-check against the exhaustive optimum
-    brute = corank.brute_force_assignment(corank.squared_cost(sample, grid))
+    brute = brute_force_assignment(corank.squared_cost(sample, grid))
     assert com.total_cost == brute.total_cost
+
+
+def test_map_is_stable_under_large_translations():
+    # uncentred, an offset of 1e6 flips dozens of these 400 assignments
+    # and 1e8 nearly all of them
+    rng = np.random.default_rng(404)
+    law = make_law("t3")
+    x, y = sample(law, 200, rng), sample(law, 200, rng)
+    grid = build_grid(make_spec(400, 2, symmetrize=True))
+    base = empirical_map(np.vstack([x, y]), grid)
+    base_stat = two_sample_test(x, y, grid=grid).statistic
+    for off in (1e6, 1e8):
+        shift = np.array([off, -off])
+        com = empirical_map(np.vstack([x, y]) + shift, grid)
+        assert np.array_equal(com.assignment, base.assignment)
+        assert np.allclose(com.offset - base.offset, shift, rtol=1e-15)
+        assert two_sample_test(x + shift, y + shift, grid=grid).statistic == base_stat
+
+
+def test_map_reports_median_offset_and_uncentred_cost():
+    rng = np.random.default_rng(405)
+    z = rng.standard_normal((50, 3)) + [5.0, -2.0, 0.5]
+    grid = build_grid(make_spec(50, 3, symmetrize=True))
+    com = empirical_map(z, grid)
+    assert np.array_equal(com.offset, np.median(z, axis=0))
+    cost = corank.squared_cost(z, grid)
+    assert com.total_cost == cost[np.arange(50), com.assignment].sum()
 
 
 def test_map_values_are_grid_multiset():

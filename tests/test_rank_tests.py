@@ -21,6 +21,7 @@ from corank import (
     ranks_signs,
     regression_test,
     residuals,
+    sphericized_center_outward_test,
     standardize_design,
     two_sample_test,
     wilcoxon_score,
@@ -319,6 +320,20 @@ def test_regression_rejects_empty_design():
     rng = np.random.default_rng(36)
     with pytest.raises(InvalidInputError):
         regression_test(rng.standard_normal((10, 2)), np.zeros((10, 0)))
+
+
+def test_result_seed_is_the_seed_of_the_grid_used():
+    rng = np.random.default_rng(61)
+    x, y = rng.standard_normal((25, 2)), rng.standard_normal((25, 2))
+    spec = make_spec(50, 2, n_r=4, n_s=12, symmetrize=True)
+    assert spec.n_0 == 2  # randomly directed tie-break points: the seed matters
+    grid = build_grid(spec, tie_break_seed=7)
+    c = np.r_[np.ones(25), np.zeros(25)][:, None]
+    assert two_sample_test(x, y, grid=grid).seed == 7
+    assert sphericized_center_outward_test([x, y], grid=grid).seed == 7
+    assert regression_test(np.vstack([x, y]), c, grid=grid).seed == 7
+    # without a grid the argument seeds the one built
+    assert two_sample_test(x, y, n_r=4, n_s=12, tie_break_seed=5).seed == 5
 
 
 def test_result_p_value_consistency():
