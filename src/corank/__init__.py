@@ -32,7 +32,6 @@ from .center_outward import (
     RanksSigns,
     empirical_map,
     ranks_signs,
-    ranks_signs_to_csv,
 )
 from .distributions import make_law, sample, shift
 from .errors import (
@@ -78,7 +77,6 @@ from .sphere_grid import (
     GridSpec,
     build_grid,
     factorize,
-    grid_from_csv,
     grid_to_csv,
     make_spec,
     unit_directions,
@@ -119,7 +117,6 @@ __all__ = [
     "estimate_score_cov",
     "factorize",
     "get_score",
-    "grid_from_csv",
     "grid_to_csv",
     "hotelling_two_sample",
     "lambda_tilde",
@@ -130,7 +127,6 @@ __all__ = [
     "q_general",
     "q_spherical",
     "ranks_signs",
-    "ranks_signs_to_csv",
     "regression_test",
     "residuals",
     "run_null_distribution",

@@ -19,7 +19,7 @@ invariant under shifts and positive-diagonal triangular rescalings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -32,7 +32,7 @@ from .errors import (
     InvalidInputError,
     NumericalError,
 )
-from .rank_tests import TestResult, _co_k_sample, _validate_groups, k_sample_statistic
+from .rank_tests import TestResult, k_sample_statistic, manova_test, validate_groups
 from .scores import chi_sq_sf, get_score
 
 TYLER_TOL = 1e-9
@@ -157,7 +157,7 @@ def elliptical_rank_test(samples, score="wilcoxon"):
     ranks and directions then feed the same standardized linear rank
     statistic as the center-outward tests (chi-square, (K-1)*d dof).
     """
-    samples = _validate_groups(samples, 2)
+    samples = validate_groups(samples, 2)
     pooled = np.vstack(samples)
     n, d = pooled.shape
     score = get_score(score, d)
@@ -188,7 +188,7 @@ def sphericized_center_outward_test(samples, score="wilcoxon", scatter="sample",
     sample that overrides them), mean what they mean in
     :func:`~corank.rank_tests.two_sample_test`.
     """
-    samples = _validate_groups(samples, 2)
+    samples = validate_groups(samples, 2)
     pooled = np.vstack(samples)
     if scatter == "sample":
         est = sample_covariance(pooled)
@@ -202,9 +202,11 @@ def sphericized_center_outward_test(samples, score="wilcoxon", scatter="sample",
     method = (
         "co-sphericized-two-sample" if len(samples) == 2 else "co-sphericized-manova"
     )
-    return _co_k_sample(
-        groups, score, method, n_r, n_s, symmetrize, tie_break_seed, grid
+    result = manova_test(
+        groups, score, n_r=n_r, n_s=n_s, symmetrize=symmetrize,
+        tie_break_seed=tie_break_seed, grid=grid,
     )
+    return replace(result, method=method)
 
 
 def _f_sf(x, df1, df2):
@@ -259,7 +261,7 @@ def pillai_manova(samples):
     ``V = trace(H (H + E)^{-1})`` from the between- and within-group
     SSCP matrices.
     """
-    samples = _validate_groups(samples, 2)
+    samples = validate_groups(samples, 2)
     pooled = np.vstack(samples)
     n, d = pooled.shape
     k = len(samples)

@@ -11,7 +11,6 @@ any statistic built on them is a pure function of the assignment.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,34 +143,4 @@ def ranks_signs(com):
     grid = com.grid
     rank = grid.rank_values()[com.assignment]
     sign = grid.sign_vectors()[com.assignment]
-    n_r = grid.spec.n_r if grid.spec is not None else grid.n_r
-    return RanksSigns(rank=rank, sign=sign, n_r=n_r)
-
-
-def ranks_signs_to_csv(com, path):
-    """Dump per-observation ranks, signs, and map values to CSV.
-
-    Columns: obs_index, rank, s1..sd, fx1..fxd.
-    """
-    rs = ranks_signs(com)
-    d = rs.d
-    header = (
-        ["obs_index", "rank"]
-        + [f"s{j + 1}" for j in range(d)]
-        + [f"fx{j + 1}" for j in range(d)]
-    )
-    if hasattr(path, "write"):
-        _write_ranks_signs(path, header, rs, com)
-        return
-    with open(path, "w", newline="") as fh:
-        _write_ranks_signs(fh, header, rs, com)
-
-
-def _write_ranks_signs(fh, header, rs, com):
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    for i in range(rs.n):
-        row = [i, repr(float(rs.rank[i]))]
-        row += [repr(float(v)) for v in rs.sign[i]]
-        row += [repr(float(v)) for v in com.values[i]]
-        writer.writerow(row)
+    return RanksSigns(rank=rank, sign=sign, n_r=grid.n_r)

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import baselines, rank_tests
+from . import rank_tests
 from .errors import (
     CorankError,
     DataError,
@@ -25,7 +25,7 @@ from .errors import (
     NumericalError,
     SimulationError,
 )
-from .simulation import SimConfig, run_power_study
+from .simulation import METHODS, SimConfig, run_power_study
 from .sphere_grid import build_grid, grid_to_csv, make_spec
 
 MIN_ROWS = 4
@@ -178,18 +178,8 @@ def _cmd_two_sample(args):
         raise DataError(
             f"input files differ in dimension: {x.shape[1]} vs {y.shape[1]}"
         )
-    gk = _grid_kwargs(args)
-    if args.method == "co":
-        result = rank_tests.two_sample_test(x, y, args.score, **gk)
-    elif args.method == "co-sphericized":
-        result = baselines.sphericized_center_outward_test(
-            [x, y], args.score, args.scatter, **gk
-        )
-    elif args.method == "elliptical":
-        result = baselines.elliptical_rank_test([x, y], args.score)
-    else:
-        result = baselines.hotelling_two_sample(x, y)
-    return _emit(args, result)
+    call = METHODS["two_sample"][args.method]
+    return _emit(args, call([x, y], args.score, args.scatter, _grid_kwargs(args)))
 
 
 def _split_groups(path, group_col, response_cols):
@@ -217,18 +207,8 @@ def _split_groups(path, group_col, response_cols):
 def _cmd_manova(args):
     cols = _csv_list(args.response_cols) if args.response_cols else None
     groups, _ = _split_groups(args.input, args.group_col, cols)
-    gk = _grid_kwargs(args)
-    if args.method == "co":
-        result = rank_tests.manova_test(groups, args.score, **gk)
-    elif args.method == "co-sphericized":
-        result = baselines.sphericized_center_outward_test(
-            groups, args.score, args.scatter, **gk
-        )
-    elif args.method == "elliptical":
-        result = baselines.elliptical_rank_test(groups, args.score)
-    else:
-        result = baselines.pillai_manova(groups)
-    return _emit(args, result)
+    call = METHODS["manova"][args.method]
+    return _emit(args, call(groups, args.score, args.scatter, _grid_kwargs(args)))
 
 
 def _cmd_regression(args):
@@ -306,7 +286,7 @@ def build_parser():
     two.add_argument("--response-cols", default=None, help="comma-separated columns")
     two.add_argument(
         "--method", default="co",
-        choices=("co", "co-sphericized", "elliptical", "hotelling"),
+        choices=tuple(METHODS["two_sample"]),
     )
     two.add_argument("--scatter", default="sample", choices=("sample", "tyler"))
     _add_score_option(two)
@@ -320,7 +300,7 @@ def build_parser():
     man.add_argument("--response-cols", default=None, help="comma-separated columns")
     man.add_argument(
         "--method", default="co",
-        choices=("co", "co-sphericized", "elliptical", "pillai"),
+        choices=tuple(METHODS["manova"]),
     )
     man.add_argument("--scatter", default="sample", choices=("sample", "tyler"))
     _add_score_option(man)

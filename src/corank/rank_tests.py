@@ -11,12 +11,10 @@ form with a chi-square(m*d) null.  ``K_n`` is the symmetric inverse
 square root of the covariate second-moment matrix, so the statistic
 depends on it only through that matrix.
 
-When the grid directions sum to zero exactly (symmetrized grid, at most
-one leftover point) the pooled vector scores sum to zero and the
-two-sample and MANOVA statistics collapse to the simplified group-sum
-forms; the engine uses those when valid and the general design path
-otherwise.  Either way the statistic is a pure function of the
-assignment, hence exactly distribution-free under the null.
+The two-sample and MANOVA statistics are this regression statistic on
+the dummy-coded design of the groups; every test goes through the same
+quadratic form.  The statistic is a pure function of the assignment,
+hence exactly distribution-free under the null.
 """
 
 from __future__ import annotations
@@ -204,15 +202,6 @@ def _resolve_grid(n, d, n_r, n_s, symmetrize, tie_break_seed, grid):
     return build_grid(spec, tie_break_seed=tie_break_seed)
 
 
-def _sum_form_valid(grid, score):
-    # group-sum shortcut needs the pooled vector scores to cancel exactly:
-    # antipodal directions and no randomly directed tie-break points
-    if not isinstance(score, ScoreFunction):
-        return False
-    spec = grid.spec
-    return spec is not None and spec.symmetrize and spec.n_0 <= 1
-
-
 def _dummy_covariates(sizes):
     n = int(sum(sizes))
     c = np.zeros((n, len(sizes) - 1))
@@ -224,35 +213,26 @@ def _dummy_covariates(sizes):
     return c
 
 
-def _group_sum_statistic(rs, sizes, score):
-    v = score.vector_scores(rs)
-    total = 0.0
-    start = 0
-    for nk in sizes:
-        t = v[start : start + nk].sum(axis=0)
-        total += (t @ t) / nk
-        start += nk
-    return rs.d / score.norm_sq() * total
-
-
-def k_sample_statistic(rs, sizes, score, grid=None):
-    """Statistic for a K-group comparison from pooled ranks and signs.
-
-    Uses the simplified group-sum form when the grid guarantees that
-    pooled vector scores sum to zero, the dummy-coded design path
-    otherwise.  Baselines reuse this with their own rank containers (a
-    ``grid`` of None always takes the design path).
-    """
-    if grid is not None and _sum_form_valid(grid, score):
-        return _group_sum_statistic(rs, sizes, score)
-    design = standardize_design(_dummy_covariates(sizes))
+def _quadratic_form(design, rs, score, grid):
     lam = lambda_tilde(design, rs, score)
     if isinstance(score, ScoreFunction):
         return q_spherical(lam, score, rs.d, rs.n)
     return q_general(lam, score.score_cov(rs.d, grid), rs.n)
 
 
-def _validate_groups(samples, min_k):
+def k_sample_statistic(rs, sizes, score, grid=None):
+    """Statistic for a K-group comparison from pooled ranks and signs.
+
+    The regression statistic on the dummy-coded design of the groups.
+    Baselines reuse this with their own rank containers; ``grid`` is
+    only read by a VectorScore that estimates its covariance on it.
+    """
+    design = standardize_design(_dummy_covariates(sizes))
+    return _quadratic_form(design, rs, score, grid)
+
+
+def validate_groups(samples, min_k):
+    """Check K >= ``min_k`` 2-d groups of equal width; return them as arrays."""
     arrays = [np.asarray(s, dtype=float) for s in samples]
     if len(arrays) < min_k:
         raise InvalidInputError(f"need at least {min_k} groups, got {len(arrays)}")
@@ -272,7 +252,7 @@ def _validate_groups(samples, min_k):
 
 
 def _co_k_sample(samples, score, method, n_r, n_s, symmetrize, tie_break_seed, grid):
-    samples = _validate_groups(samples, 2)
+    samples = validate_groups(samples, 2)
     pooled = np.vstack(samples)
     n, d = pooled.shape
     score = get_score(score, d)
@@ -369,11 +349,7 @@ def regression_test(y, c, beta0=None, score="wilcoxon", *, n_r=None, n_s=None,
     design = standardize_design(c)
     grid = _resolve_grid(n, d, n_r, n_s, symmetrize, tie_break_seed, grid)
     rs = ranks_signs(empirical_map(z, grid))
-    lam = lambda_tilde(design, rs, score)
-    if isinstance(score, ScoreFunction):
-        stat = q_spherical(lam, score, d, n)
-    else:
-        stat = q_general(lam, score.score_cov(d, grid), n)
+    stat = _quadratic_form(design, rs, score, grid)
     dof = design.m * d
     return TestResult(
         method="co-regression",

@@ -29,9 +29,33 @@ from .errors import InvalidSpecError, SimulationError
 from .rank_tests import manova_test, two_sample_test
 from .sphere_grid import build_grid, make_spec
 
-_METHODS = {
-    "two_sample": ("co", "co-sphericized", "elliptical", "hotelling"),
-    "manova": ("co", "co-sphericized", "elliptical", "pillai"),
+
+def _sphericized(g, score, scatter, opts):
+    return sphericized_center_outward_test(g, score, scatter, **opts)
+
+
+def _elliptical(g, score, scatter, opts):
+    return elliptical_rank_test(g, score)
+
+
+# study -> method -> call(groups, score, scatter, grid_options).  Each call
+# looks its test up in this module's globals when it runs, so rebinding a
+# module-level name reaches the studies and the command line alike.
+METHODS = {
+    "two_sample": {
+        "co": lambda g, score, scatter, opts: two_sample_test(
+            g[0], g[1], score, **opts
+        ),
+        "co-sphericized": _sphericized,
+        "elliptical": _elliptical,
+        "hotelling": lambda g, score, scatter, opts: hotelling_two_sample(g[0], g[1]),
+    },
+    "manova": {
+        "co": lambda g, score, scatter, opts: manova_test(g, score, **opts),
+        "co-sphericized": _sphericized,
+        "elliptical": _elliptical,
+        "pillai": lambda g, score, scatter, opts: pillai_manova(g),
+    },
 }
 
 
@@ -56,9 +80,9 @@ class SimConfig:
         object.__setattr__(self, "sizes", tuple(int(v) for v in self.sizes))
         object.__setattr__(self, "deltas", tuple(float(v) for v in self.deltas))
         object.__setattr__(self, "methods", tuple(self.methods))
-        if self.study not in _METHODS:
+        if self.study not in METHODS:
             raise InvalidSpecError(
-                f"study must be one of {sorted(_METHODS)}, got {self.study!r}"
+                f"study must be one of {sorted(METHODS)}, got {self.study!r}"
             )
         if self.study == "two_sample" and len(self.sizes) != 2:
             raise InvalidSpecError("a two-sample study needs exactly 2 group sizes")
@@ -69,10 +93,10 @@ class SimConfig:
         if not self.methods:
             raise InvalidSpecError("need at least one method")
         for m in self.methods:
-            if m not in _METHODS[self.study]:
+            if m not in METHODS[self.study]:
                 raise InvalidSpecError(
                     f"method {m!r} not available for study {self.study!r} "
-                    f"(choose from {_METHODS[self.study]})"
+                    f"(choose from {tuple(METHODS[self.study])})"
                 )
         if self.n_replications < 1:
             raise InvalidSpecError("need at least one replication")
@@ -146,24 +170,6 @@ class PowerCurve:
         raise KeyError((method, delta))
 
 
-def _run_method(method, groups, config, grid):
-    if method == "co":
-        if config.study == "two_sample":
-            return two_sample_test(groups[0], groups[1], config.score, grid=grid)
-        return manova_test(groups, config.score, grid=grid)
-    if method == "co-sphericized":
-        return sphericized_center_outward_test(
-            groups, config.score, config.scatter, grid=grid
-        )
-    if method == "elliptical":
-        return elliptical_rank_test(groups, config.score)
-    if method == "hotelling":
-        return hotelling_two_sample(groups[0], groups[1])
-    if method == "pillai":
-        return pillai_manova(groups)
-    raise InvalidSpecError(f"unknown method {method!r}")  # pragma: no cover
-
-
 def _study_grid(config, d):
     spec = make_spec(
         sum(config.sizes), d, n_r=config.n_r, n_s=config.n_s, symmetrize=True
@@ -173,6 +179,8 @@ def _study_grid(config, d):
 
 def _replicate(config, law, grid, collect_stats):
     n_methods = len(config.methods)
+    calls = [METHODS[config.study][m] for m in config.methods]
+    grid_options = {"grid": grid}
     rejections = np.zeros((n_methods, len(config.deltas)), dtype=int)
     stats = (
         {m: np.empty(config.n_replications) for m in config.methods}
@@ -185,8 +193,8 @@ def _replicate(config, law, grid, collect_stats):
             bases = [sample(law, nk, rng) for nk in config.sizes]
             for j, delta in enumerate(config.deltas):
                 groups = bases[:-1] + [shift(bases[-1], delta)]
-                for i, method in enumerate(config.methods):
-                    result = _run_method(method, groups, config, grid)
+                for i, (method, call) in enumerate(zip(config.methods, calls)):
+                    result = call(groups, config.score, config.scatter, grid_options)
                     if result.p_value < config.alpha:
                         rejections[i, j] += 1
                     if collect_stats and j == 0:

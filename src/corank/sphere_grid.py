@@ -15,7 +15,7 @@ Leftover handling: ``n_0 = 1`` places one point exactly at the origin;
 
 With ``symmetrize`` the directions come in exact antipodal pairs and
 ``n_S`` must be even; the direction sum is then exactly the zero
-vector, which the simplified two-sample and MANOVA statistics rely on.
+vector.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .errors import DataError, InvalidInputError, InvalidSpecError
+from .errors import InvalidInputError, InvalidSpecError
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -353,44 +353,3 @@ def grid_to_csv(grid, path):
         return
     with open(path, "w", newline="") as fh:
         _write_grid(grid, fh)
-
-
-def grid_from_csv(path):
-    """Re-ingest a grid dump. Coordinates round-trip exactly (repr floats)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{path}: empty grid file")
-    header = rows[0]
-    d = sum(1 for name in header if name.startswith("x"))
-    if d < 1 or header[d:] != list(GRID_CSV_FIELDS):
-        raise DataError(f"{path}: unexpected grid header {header!r}")
-    body = rows[1:]
-    if not body:
-        raise DataError(f"{path}: grid file has no points")
-    try:
-        points = np.array([[float(v) for v in row[:d]] for row in body])
-        r_idx = np.array([int(row[d]) for row in body])
-        s_idx = np.array([int(row[d + 1]) for row in body])
-        tiebreak = np.array([int(row[d + 2]) for row in body], dtype=bool)
-    except (ValueError, IndexError) as err:
-        raise DataError(f"{path}: malformed grid row: {err}") from err
-
-    n_r = int(r_idx.max())
-    n_s = int(s_idx.max())
-    directions = np.zeros((n_s, d))
-    for s in range(1, n_s + 1):
-        sel = (s_idx == s) & (r_idx == 1)
-        if sel.any():
-            directions[s - 1] = points[sel][0] * (n_r + 1)
-        else:  # direction only present on a tie-break point
-            sel = (s_idx == s) & tiebreak
-            directions[s - 1] = points[sel][0] * (2 * (n_r + 1))
-    return Grid(
-        points=points,
-        radius_index=r_idx,
-        direction_index=s_idx,
-        is_tiebreak=tiebreak,
-        directions=directions,
-        spec=None,
-    )

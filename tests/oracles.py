@@ -1,10 +1,12 @@
-"""Independent oracles used only by the tests."""
+"""Independent oracles and file round trips used only by the tests."""
 
+import csv
 import itertools
 
 import numpy as np
 
-from corank import InvalidInputError, Pairing
+from corank import DataError, Grid, InvalidInputError, Pairing, ranks_signs
+from corank.sphere_grid import GRID_CSV_FIELDS
 
 BRUTE_FORCE_MAX_N = 9
 
@@ -27,3 +29,91 @@ def brute_force_assignment(cost):
     totals = cost[np.arange(n), perms].sum(axis=1)
     best = int(np.argmin(totals))
     return Pairing(assignment=perms[best].copy(), total_cost=float(totals[best]))
+
+
+def group_sum_statistic(rs, sizes, score):
+    """Two-sample/MANOVA statistic in its simplified group-sum form.
+
+    ``d / |J|^2 * sum_k |T_k|^2 / n_k`` with ``T_k`` the sum of group
+    k's vector scores.  Equal to the dummy-design statistic only when
+    the pooled vector scores sum to zero, that is on a symmetrized grid
+    with at most one leftover point and a spherical score.
+    """
+    v = score.vector_scores(rs)
+    total = 0.0
+    start = 0
+    for nk in sizes:
+        t = v[start : start + nk].sum(axis=0)
+        total += (t @ t) / nk
+        start += nk
+    return rs.d / score.norm_sq() * total
+
+
+def grid_from_csv(path):
+    """Re-ingest a grid dump. Coordinates round-trip exactly (repr floats)."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise DataError(f"{path}: empty grid file")
+    header = rows[0]
+    d = sum(1 for name in header if name.startswith("x"))
+    if d < 1 or header[d:] != list(GRID_CSV_FIELDS):
+        raise DataError(f"{path}: unexpected grid header {header!r}")
+    body = rows[1:]
+    if not body:
+        raise DataError(f"{path}: grid file has no points")
+    try:
+        points = np.array([[float(v) for v in row[:d]] for row in body])
+        r_idx = np.array([int(row[d]) for row in body])
+        s_idx = np.array([int(row[d + 1]) for row in body])
+        tiebreak = np.array([int(row[d + 2]) for row in body], dtype=bool)
+    except (ValueError, IndexError) as err:
+        raise DataError(f"{path}: malformed grid row: {err}") from err
+
+    n_r = int(r_idx.max())
+    n_s = int(s_idx.max())
+    directions = np.zeros((n_s, d))
+    for s in range(1, n_s + 1):
+        sel = (s_idx == s) & (r_idx == 1)
+        if sel.any():
+            directions[s - 1] = points[sel][0] * (n_r + 1)
+        else:  # direction only present on a tie-break point
+            sel = (s_idx == s) & tiebreak
+            directions[s - 1] = points[sel][0] * (2 * (n_r + 1))
+    return Grid(
+        points=points,
+        radius_index=r_idx,
+        direction_index=s_idx,
+        is_tiebreak=tiebreak,
+        directions=directions,
+        spec=None,
+    )
+
+
+def ranks_signs_to_csv(com, path):
+    """Dump per-observation ranks, signs, and map values to CSV.
+
+    Columns: obs_index, rank, s1..sd, fx1..fxd.
+    """
+    rs = ranks_signs(com)
+    d = rs.d
+    header = (
+        ["obs_index", "rank"]
+        + [f"s{j + 1}" for j in range(d)]
+        + [f"fx{j + 1}" for j in range(d)]
+    )
+    if hasattr(path, "write"):
+        _write_ranks_signs(path, header, rs, com)
+        return
+    with open(path, "w", newline="") as fh:
+        _write_ranks_signs(fh, header, rs, com)
+
+
+def _write_ranks_signs(fh, header, rs, com):
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    for i in range(rs.n):
+        row = [i, repr(float(rs.rank[i]))]
+        row += [repr(float(v)) for v in rs.sign[i]]
+        row += [repr(float(v)) for v in com.values[i]]
+        writer.writerow(row)

@@ -20,11 +20,10 @@ from corank import (
     make_law,
     make_spec,
     ranks_signs,
-    ranks_signs_to_csv,
     sample,
     two_sample_test,
 )
-from oracles import brute_force_assignment
+from oracles import brute_force_assignment, ranks_signs_to_csv
 
 
 def _rotation(theta):

@@ -20,8 +20,9 @@ from scipy import stats as sps
 
 import corank
 from corank import RanksSigns
-from corank.cli import main
+from corank.cli import build_parser, main
 from corank.rank_tests import k_sample_statistic
+from corank.simulation import METHODS
 
 
 def write_csv(path, header, matrix, labels=None):
@@ -90,6 +91,61 @@ def test_two_sample_matches_library(two_files, capsys):
     x = corank.cli.load_csv(two_files[0])
     y = corank.cli.load_csv(two_files[1])
     res = corank.two_sample_test(x, y, "wilcoxon")
+    assert payload["statistic"] == pytest.approx(res.statistic, rel=1e-12)
+    assert payload["p_value"] == pytest.approx(res.p_value, rel=1e-12)
+
+
+# Each registered method called straight from the library: (groups, grid options).
+LIBRARY_CALLS = {
+    ("two_sample", "co"): lambda g, o: corank.two_sample_test(g[0], g[1], "vdw", **o),
+    ("two_sample", "co-sphericized"): lambda g, o: (
+        corank.sphericized_center_outward_test(g, "vdw", "tyler", **o)
+    ),
+    ("two_sample", "elliptical"): lambda g, o: corank.elliptical_rank_test(g, "vdw"),
+    ("two_sample", "hotelling"): lambda g, o: corank.hotelling_two_sample(g[0], g[1]),
+    ("manova", "co"): lambda g, o: corank.manova_test(g, "vdw", **o),
+    ("manova", "co-sphericized"): lambda g, o: (
+        corank.sphericized_center_outward_test(g, "vdw", "tyler", **o)
+    ),
+    ("manova", "elliptical"): lambda g, o: corank.elliptical_rank_test(g, "vdw"),
+    ("manova", "pillai"): lambda g, o: corank.pillai_manova(g),
+}
+
+
+def method_choices(command):
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    return next(a.choices for a in sub._actions if a.dest == "method")
+
+
+@pytest.mark.parametrize(
+    "study,method", [(study, m) for study in METHODS for m in METHODS[study]]
+)
+def test_registry_matches_library(study, method, tmp_path, capsys):
+    assert set(LIBRARY_CALLS) == {(s, m) for s in METHODS for m in METHODS[s]}
+    command = study.replace("_", "-")
+    assert method_choices(command) == tuple(METHODS[study])
+    # 26 = 4 * 6 + 2 points: the tie-break seed picks the two leftover directions
+    rng = np.random.default_rng(63)
+    opts = ["--method", method, "--score", "vdw", "--scatter", "tyler",
+            "--nr", "4", "--ns", "6", "--seed", "3", "--json"]
+    if study == "two_sample":
+        groups = [rng.standard_normal((12, 2)), rng.standard_normal((14, 2)) + 0.3]
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path, g in zip(paths, groups):
+            write_csv(path, ["y1", "y2"], g)
+        argv = ["two-sample", "--input", *map(str, paths), *opts]
+    else:
+        shifts = ((9, 0.0), (8, 0.3), (9, -0.2))
+        groups = [rng.standard_normal((nk, 2)) + off for nk, off in shifts]
+        labels = ["a"] * 9 + ["b"] * 8 + ["c"] * 9
+        path = tmp_path / "groups.csv"
+        write_csv(path, ["group", "y1", "y2"], np.vstack(groups), labels)
+        argv = ["manova", "--input", str(path), "--group-col", "group", *opts]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    grid_options = {"n_r": 4, "n_s": 6, "symmetrize": True, "tie_break_seed": 3}
+    res = LIBRARY_CALLS[study, method](groups, grid_options)
+    assert payload["method"] == res.method
     assert payload["statistic"] == pytest.approx(res.statistic, rel=1e-12)
     assert payload["p_value"] == pytest.approx(res.p_value, rel=1e-12)
 

@@ -27,6 +27,7 @@ from corank import (
     wilcoxon_score,
 )
 from corank.rank_tests import k_sample_statistic
+from oracles import group_sum_statistic
 
 
 def _pooled_ranks(n, seed, tie_break_seed=0):
@@ -256,7 +257,7 @@ def test_manova_zero_sum_groups():
 
 
 def test_manova_matches_design_path():
-    # the grouped-sum shortcut agrees with the dummy-design quadratic form
+    # manova_test agrees with the quadratic form on hand-built dummy covariates
     rng = np.random.default_rng(32)
     sizes = (12, 14, 10)
     groups = [rng.standard_normal((nk, 2)) + off for nk, off in zip(sizes, (0.0, 0.3, -0.2))]
@@ -276,11 +277,26 @@ def test_manova_matches_design_path():
 
 
 def test_k_sample_engine_routes_design_path_without_grid():
-    rs, grid = _pooled_ranks(36, seed=33)
-    score = get_score("wilcoxon", 2)
-    with_grid = k_sample_statistic(rs, [18, 18], score, grid)
-    without = k_sample_statistic(rs, [18, 18], score)
-    assert with_grid == pytest.approx(without, abs=1e-10)
+    # on symmetrized grids with n_0 <= 1 the pooled vector scores cancel, so
+    # the dummy-design statistic equals the simplified group-sum form
+    rng = np.random.default_rng(33)
+    for spec, n_0, splits in [
+        (make_spec(36, 2, symmetrize=True), 0, ([18, 18], [10, 14, 12])),
+        (make_spec(37, 2, n_r=6, n_s=6, symmetrize=True), 1, ([17, 20], [12, 13, 12])),
+    ]:
+        assert spec.n_0 == n_0
+        grid = build_grid(spec)
+        rs = ranks_signs(empirical_map(rng.standard_normal((spec.n, 2)), grid))
+        for name in ("sign", "wilcoxon", "vdw"):
+            score = get_score(name, 2)
+            for sizes in splits:
+                ref = group_sum_statistic(rs, sizes, score)
+                assert ref > 0.0
+                for engine in (
+                    k_sample_statistic(rs, sizes, score, grid),
+                    k_sample_statistic(rs, sizes, score),
+                ):
+                    assert engine == pytest.approx(ref, rel=1e-12)
 
 
 def test_unsymmetrized_grid_falls_back_to_design_path():

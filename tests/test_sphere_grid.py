@@ -8,11 +8,11 @@ from corank import (
     InvalidSpecError,
     build_grid,
     factorize,
-    grid_from_csv,
     grid_to_csv,
     make_spec,
     unit_directions,
 )
+from oracles import grid_from_csv
 
 
 def test_factorize_balanced_square():
