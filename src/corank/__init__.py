@@ -60,7 +60,6 @@ from .rank_tests import (
 from .scores import (
     ScoreFunction,
     VectorScore,
-    chi_sq_cdf,
     chi_sq_quantile,
     chi_sq_sf,
     custom_score,
@@ -68,7 +67,6 @@ from .scores import (
     get_score,
     sign_score,
     van_der_waerden_score,
-    vector_score,
     wilcoxon_score,
 )
 from .simulation import PowerCurve, SimConfig, run_null_distribution, run_power_study
@@ -107,7 +105,6 @@ __all__ = [
     "TestResult",
     "VectorScore",
     "build_grid",
-    "chi_sq_cdf",
     "chi_sq_quantile",
     "chi_sq_sf",
     "custom_score",
@@ -144,6 +141,5 @@ __all__ = [
     "two_sample_test",
     "unit_directions",
     "van_der_waerden_score",
-    "vector_score",
     "wilcoxon_score",
 ]

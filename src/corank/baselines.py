@@ -105,6 +105,10 @@ def tyler_scatter(z, location=None):
     )
 
 
+# scatter name -> estimator; the names sphericized_center_outward_test accepts
+SCATTERS = {"sample": sample_covariance, "tyler": tyler_scatter}
+
+
 def _inverse_root(matrix, root):
     if root == "cholesky":
         try:
@@ -190,13 +194,11 @@ def sphericized_center_outward_test(samples, score="wilcoxon", scatter="sample",
     """
     samples = validate_groups(samples, 2)
     pooled = np.vstack(samples)
-    if scatter == "sample":
-        est = sample_covariance(pooled)
-    elif scatter == "tyler":
-        est = tyler_scatter(pooled)
-    else:
-        raise InvalidInputError(f"unknown scatter {scatter!r}")
-    z = sphericize(pooled, est, root="cholesky")
+    if scatter not in SCATTERS:
+        raise InvalidInputError(
+            f"unknown scatter {scatter!r}; expected one of {sorted(SCATTERS)}"
+        )
+    z = sphericize(pooled, SCATTERS[scatter](pooled), root="cholesky")
     sizes = np.cumsum([s.shape[0] for s in samples])[:-1]
     groups = np.split(z, sizes)
     method = (

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import rank_tests
+from .baselines import SCATTERS
 from .errors import (
     CorankError,
     DataError,
@@ -25,6 +26,7 @@ from .errors import (
     NumericalError,
     SimulationError,
 )
+from .scores import SCORES
 from .simulation import METHODS, SimConfig, run_power_study
 from .sphere_grid import build_grid, grid_to_csv, make_spec
 
@@ -136,22 +138,23 @@ def _csv_list(text):
 
 
 def _grid_kwargs(args):
-    symmetrize = not args.no_symmetrize
-    if args.nr is not None and args.ns is not None and args.ns % 2 and symmetrize:
-        print(
-            f"note: n_s={args.ns} is odd, disabling direction symmetrization",
-            file=sys.stderr,
-        )
-        symmetrize = False
+    odd_ns = args.nr is not None and args.ns is not None and args.ns % 2
     return {
         "n_r": args.nr,
         "n_s": args.ns,
-        "symmetrize": symmetrize,
+        "symmetrize": not (args.no_symmetrize or odd_ns),
         "tie_break_seed": args.seed,
     }
 
 
 def _emit(args, result):
+    gs = result.grid_spec
+    if gs is not None and not gs.symmetrize and not args.no_symmetrize:
+        # only an odd explicit n_s turns symmetrization off unasked
+        print(
+            f"note: n_s={gs.n_s} is odd, disabling direction symmetrization",
+            file=sys.stderr,
+        )
     payload = result.to_dict()
     if args.json:
         text = json.dumps(payload, indent=2)
@@ -269,7 +272,7 @@ def _add_output_options(sub):
 
 def _add_score_option(sub):
     sub.add_argument(
-        "--score", default="wilcoxon", choices=("sign", "wilcoxon", "vdw"),
+        "--score", default="wilcoxon", choices=tuple(SCORES),
         help="rank score (default %(default)s)",
     )
 
@@ -288,7 +291,7 @@ def build_parser():
         "--method", default="co",
         choices=tuple(METHODS["two_sample"]),
     )
-    two.add_argument("--scatter", default="sample", choices=("sample", "tyler"))
+    two.add_argument("--scatter", default="sample", choices=tuple(SCATTERS))
     _add_score_option(two)
     _add_grid_options(two)
     _add_output_options(two)
@@ -302,7 +305,7 @@ def build_parser():
         "--method", default="co",
         choices=tuple(METHODS["manova"]),
     )
-    man.add_argument("--scatter", default="sample", choices=("sample", "tyler"))
+    man.add_argument("--scatter", default="sample", choices=tuple(SCATTERS))
     _add_score_option(man)
     _add_grid_options(man)
     _add_output_options(man)

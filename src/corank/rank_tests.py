@@ -11,15 +11,15 @@ form with a chi-square(m*d) null.  ``K_n`` is the symmetric inverse
 square root of the covariate second-moment matrix, so the statistic
 depends on it only through that matrix.
 
-The two-sample and MANOVA statistics are this regression statistic on
-the dummy-coded design of the groups; every test goes through the same
-quadratic form.  The statistic is a pure function of the assignment,
+The two-sample and MANOVA tests are the regression test on the
+dummy-coded design of the groups, so every center-outward test runs
+the same body.  The statistic is a pure function of the assignment,
 hence exactly distribution-free under the null.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,9 +100,10 @@ class TestResult:
 def residuals(y, c, beta0=None):
     """Null-hypothesis residuals ``Z = Y - C beta0``.
 
-    ``beta0`` defaults to the zero matrix.  No intercept is ever
-    subtracted; include an intercept column in ``c`` if the model has
-    one.
+    ``beta0`` defaults to the zero matrix.  No intercept is needed or
+    allowed: the statistic centres the covariates (a constant column
+    raises :class:`DegenerateDesignError`), and a common shift of the
+    responses leaves the center-outward ranks and signs unchanged.
     """
     y = np.asarray(y, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -131,8 +132,9 @@ def standardize_design(c):
     Raises
     ------
     DegenerateDesignError
-        If the centered second-moment matrix is numerically singular
-        (smallest eigenvalue below 1e-10 times the largest).
+        If a column is constant (centring makes it zero), or if the
+        centered second-moment matrix is numerically singular (smallest
+        eigenvalue below 1e-10 times the largest).
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2:
@@ -142,6 +144,12 @@ def standardize_design(c):
         raise InvalidInputError(f"need n > m >= 1, got n={n}, m={m}")
     if not np.isfinite(c).all():
         raise InvalidInputError("covariates have non-finite entries")
+    constant = np.flatnonzero((c == c[0]).all(axis=0))
+    if constant.size:
+        raise DegenerateDesignError(
+            f"covariate column(s) {constant.tolist()} are constant; drop them "
+            "(an intercept is not needed, the design is centred)"
+        )
     c_bar = c.mean(axis=0)
     centered = c - c_bar
     v_c = centered.T @ centered / n
@@ -251,28 +259,6 @@ def validate_groups(samples, min_k):
     return arrays
 
 
-def _co_k_sample(samples, score, method, n_r, n_s, symmetrize, tie_break_seed, grid):
-    samples = validate_groups(samples, 2)
-    pooled = np.vstack(samples)
-    n, d = pooled.shape
-    score = get_score(score, d)
-    grid = _resolve_grid(n, d, n_r, n_s, symmetrize, tie_break_seed, grid)
-    rs = ranks_signs(empirical_map(pooled, grid))
-    stat = k_sample_statistic(rs, [s.shape[0] for s in samples], score, grid)
-    dof = (len(samples) - 1) * d
-    return TestResult(
-        method=method,
-        statistic=stat,
-        dof=dof,
-        p_value=float(chi_sq_sf(dof, stat)),
-        n=n,
-        d=d,
-        score=getattr(score, "kind", "vector"),
-        grid_spec=grid.spec,
-        seed=grid.tie_break_seed,
-    )
-
-
 def two_sample_test(sample1, sample2, score="wilcoxon", *, n_r=None, n_s=None,
                     symmetrize=True, tie_break_seed=0, grid=None):
     """Center-outward two-sample location test.
@@ -298,10 +284,13 @@ def two_sample_test(sample1, sample2, score="wilcoxon", *, n_r=None, n_s=None,
     TestResult
         Chi-square statistic with d degrees of freedom.
     """
-    return _co_k_sample(
-        [sample1, sample2], score, "co-two-sample",
-        n_r, n_s, symmetrize, tie_break_seed, grid,
+    samples = validate_groups([sample1, sample2], 2)
+    result = regression_test(
+        np.vstack(samples), _dummy_covariates([s.shape[0] for s in samples]),
+        None, score, n_r=n_r, n_s=n_s, symmetrize=symmetrize,
+        tie_break_seed=tie_break_seed, grid=grid,
     )
+    return replace(result, method="co-two-sample")
 
 
 def manova_test(samples, score="wilcoxon", *, n_r=None, n_s=None,
@@ -310,12 +299,16 @@ def manova_test(samples, score="wilcoxon", *, n_r=None, n_s=None,
 
     Same conventions as :func:`two_sample_test`; ``samples`` is a
     sequence of K >= 2 groups and the statistic has (K-1)*d degrees of
-    freedom.  With K = 2 this is exactly the two-sample test.
+    freedom.  With K = 2 this is exactly the two-sample test.  It is
+    :func:`regression_test` on the dummy-coded design of the groups.
     """
-    return _co_k_sample(
-        list(samples), score, "co-manova",
-        n_r, n_s, symmetrize, tie_break_seed, grid,
+    samples = validate_groups(samples, 2)
+    result = regression_test(
+        np.vstack(samples), _dummy_covariates([s.shape[0] for s in samples]),
+        None, score, n_r=n_r, n_s=n_s, symmetrize=symmetrize,
+        tie_break_seed=tie_break_seed, grid=grid,
     )
+    return replace(result, method="co-manova")
 
 
 def regression_test(y, c, beta0=None, score="wilcoxon", *, n_r=None, n_s=None,
@@ -332,8 +325,9 @@ def regression_test(y, c, beta0=None, score="wilcoxon", *, n_r=None, n_s=None,
     y : (n, d) array
         Responses, d >= 2.
     c : (n, m) array
-        Covariates, m >= 1 (include an intercept column only if it is
-        part of the tested coefficient block).
+        Covariates, m >= 1, none of them constant.  Do not add an
+        intercept column: the covariates are centred, and a common
+        shift of ``y`` leaves the statistic unchanged.
     beta0 : (m, d) array, optional
         Hypothesized coefficients; zero matrix by default.
     score, n_r, n_s, symmetrize, tie_break_seed, grid

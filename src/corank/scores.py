@@ -28,21 +28,11 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import gammainc, gammaincc, gammaincinv
+from scipy.special import gammaincc, gammaincinv
 
 from .errors import InvalidInputError, InvalidScoreError
 
 VDW_CLAMP = 1.0 - 1e-12
-
-
-def chi_sq_cdf(d, x):
-    """Chi-square(d) cdf via the regularized lower incomplete gamma."""
-    if d < 1:
-        raise InvalidInputError(f"dof must be >= 1, got {d}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise InvalidInputError("chi-square argument must be >= 0")
-    return gammainc(d / 2.0, x / 2.0)
 
 
 def chi_sq_sf(d, x):
@@ -186,12 +176,6 @@ def custom_score(fn, norm_sq=None):
     return ScoreFunction(kind="custom", fn=fn, norm_sq_value=float(norm_sq))
 
 
-def vector_score(score, rank, sign, n_r):
-    """Single-observation vector score ``J(rank/(n_r+1)) * sign``."""
-    sign = np.asarray(sign, dtype=float)
-    return score.evaluate(np.asarray(rank, dtype=float) / (n_r + 1)) * sign
-
-
 @dataclass(frozen=True)
 class VectorScore:
     """A general (possibly non-spherical) score on ball points.
@@ -245,7 +229,8 @@ def estimate_score_cov(fn, grid):
     return vals.T @ vals / vals.shape[0]
 
 
-_FACTORIES = {
+# score name -> factory taking the dimension; the names get_score accepts
+SCORES = {
     "sign": lambda d: sign_score(),
     "wilcoxon": lambda d: wilcoxon_score(),
     "vdw": lambda d: van_der_waerden_score(d),
@@ -257,8 +242,8 @@ def get_score(name, d):
     if isinstance(name, (ScoreFunction, VectorScore)):
         return name
     try:
-        return _FACTORIES[name](d)
+        return SCORES[name](d)
     except KeyError:
         raise InvalidScoreError(
-            f"unknown score {name!r}; expected one of {sorted(_FACTORIES)}"
+            f"unknown score {name!r}; expected one of {sorted(SCORES)}"
         ) from None

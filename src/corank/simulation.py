@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .baselines import (
+    SCATTERS,
     elliptical_rank_test,
     hotelling_two_sample,
     pillai_manova,
@@ -27,6 +28,7 @@ from .baselines import (
 from .distributions import make_law, sample, shift
 from .errors import InvalidSpecError, SimulationError
 from .rank_tests import manova_test, two_sample_test
+from .scores import SCORES
 from .sphere_grid import build_grid, make_spec
 
 
@@ -97,6 +99,12 @@ class SimConfig:
                 raise InvalidSpecError(
                     f"method {m!r} not available for study {self.study!r} "
                     f"(choose from {tuple(METHODS[self.study])})"
+                )
+        for key, known in (("score", SCORES), ("scatter", SCATTERS)):
+            value = getattr(self, key)
+            if value not in tuple(known):
+                raise InvalidSpecError(
+                    f"{key} must be one of {tuple(known)}, got {value!r}"
                 )
         if self.n_replications < 1:
             raise InvalidSpecError("need at least one replication")

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .errors import InvalidInputError, InvalidSpecError
+from .errors import InvalidSpecError
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -107,9 +107,9 @@ def factorize(n, n_r=None, n_s=None, even_n_s=False):
 
     Notes
     -----
-    The balanced policy scans ``n_r`` from ``floor(sqrt(n))`` downward,
-    sets ``n_s = n // n_r``, and returns the first triple with
-    ``n_0 < min(n_r, n_s)``.
+    The balanced policy without ``even_n_s`` is closed-form: with
+    ``r = floor(sqrt(n))`` it returns ``(r, n // r, n mod r)``, valid
+    because ``n mod r < r <= n // r``.
     """
     if n < 2:
         raise InvalidSpecError(f"grid needs n >= 2, got n={n}")
@@ -129,12 +129,8 @@ def factorize(n, n_r=None, n_s=None, even_n_s=False):
         return n_r, n_s, n_0
 
     if not even_n_s:
-        for cand_r in range(math.isqrt(n), 0, -1):
-            cand_s = n // cand_r
-            n_0 = n - cand_r * cand_s
-            if n_0 < min(cand_r, cand_s):
-                return cand_r, cand_s, n_0
-        raise InvalidSpecError(f"no balanced factorization for n={n}")
+        r = math.isqrt(n)
+        return r, n // r, n % r
 
     best = None
     for cand_r in range(1, n + 1):
@@ -204,33 +200,27 @@ def unit_directions(n_s, d, symmetrize=False):
         raise InvalidSpecError(f"dimension must be >= 1, got d={d}")
     if n_s < 1:
         raise InvalidSpecError(f"need n_s >= 1, got n_s={n_s}")
+    if symmetrize and n_s % 2 != 0:
+        raise InvalidSpecError(f"symmetrize requires even n_s, got n_s={n_s}")
+    m = n_s // 2 if symmetrize else n_s
+    if d == 1:
+        base = np.ones((m, 1))
+    elif d == 2:
+        # symmetrized: the first half of the full equispaced set, so the
+        # union with the antipodes is again equispaced
+        base = _circle_directions(m, n_s)
+    elif d == 3:
+        base = _fibonacci_sphere(m)
+    else:
+        base = _halton_sphere(m, d)
     if symmetrize:
-        if n_s % 2 != 0:
-            raise InvalidSpecError(f"symmetrize requires even n_s, got n_s={n_s}")
-        half = n_s // 2
-        if d == 1:
-            base = np.ones((half, 1))
-        elif d == 2:
-            # first half of the full equispaced set, so the union with the
-            # antipodes is again equispaced
-            base = _circle_directions(half, n_s)
-        elif d == 3:
-            base = _fibonacci_sphere(half)
-        else:
-            base = _halton_sphere(half, d)
         out = np.empty((n_s, d))
         out[0::2] = base
         out[1::2] = -base
         return out
     if d == 1:
-        out = np.ones((n_s, 1))
-        out[1::2] = -1.0
-        return out
-    if d == 2:
-        return _circle_directions(n_s, n_s)
-    if d == 3:
-        return _fibonacci_sphere(n_s)
-    return _halton_sphere(n_s, d)
+        base[1::2] = -1.0
+    return base
 
 
 @dataclass(frozen=True)
@@ -276,15 +266,6 @@ class Grid:
         has_dir = self.direction_index > 0
         signs[has_dir] = self.directions[self.direction_index[has_dir] - 1]
         return signs
-
-    def transform(self, q):
-        """Return the grid rotated by an orthogonal matrix ``q``."""
-        q = np.asarray(q, dtype=float)
-        if q.shape != (self.d, self.d):
-            raise InvalidInputError(f"expected a {self.d}x{self.d} matrix")
-        return replace(
-            self, points=self.points @ q.T, directions=self.directions @ q.T
-        )
 
 
 def build_grid(spec, tie_break_seed=0):

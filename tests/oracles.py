@@ -2,8 +2,10 @@
 
 import csv
 import itertools
+from dataclasses import replace
 
 import numpy as np
+from scipy.special import gammainc
 
 from corank import DataError, Grid, InvalidInputError, Pairing, ranks_signs
 from corank.sphere_grid import GRID_CSV_FIELDS
@@ -29,6 +31,24 @@ def brute_force_assignment(cost):
     totals = cost[np.arange(n), perms].sum(axis=1)
     best = int(np.argmin(totals))
     return Pairing(assignment=perms[best].copy(), total_cost=float(totals[best]))
+
+
+def chi_sq_cdf(d, x):
+    """Chi-square(d) cdf via the regularized lower incomplete gamma."""
+    if d < 1:
+        raise InvalidInputError(f"dof must be >= 1, got {d}")
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
+        raise InvalidInputError("chi-square argument must be >= 0")
+    return gammainc(d / 2.0, x / 2.0)
+
+
+def rotate_grid(grid, q):
+    """Return ``grid`` rotated by an orthogonal matrix ``q``."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (grid.d, grid.d):
+        raise InvalidInputError(f"expected a {grid.d}x{grid.d} matrix")
+    return replace(grid, points=grid.points @ q.T, directions=grid.directions @ q.T)
 
 
 def group_sum_statistic(rs, sizes, score):

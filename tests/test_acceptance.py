@@ -28,7 +28,7 @@ from corank import (
     two_sample_test,
 )
 from corank.rank_tests import k_sample_statistic
-from oracles import brute_force_assignment
+from oracles import brute_force_assignment, rotate_grid
 
 
 def _line(num, ok, detail):
@@ -166,7 +166,7 @@ def test_criterion_08_shift_and_rotation_invariance():
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
         rotated = two_sample_test(
-            x @ o.T, y @ o.T, "wilcoxon", grid=grid.transform(o)
+            x @ o.T, y @ o.T, "wilcoxon", grid=rotate_grid(grid, o)
         )
         worst_rot = max(worst_rot, abs(rotated.statistic - base.statistic))
     _line(

@@ -309,6 +309,19 @@ def test_odd_ns_disables_symmetrization(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "disabling direction symmetrization" in captured.err
     assert json.loads(captured.out)["n_S"] == 5
+    # tests without a grid print no note
+    odd = ["--nr", "2", "--ns", "5"]
+    for method in ("hotelling", "elliptical"):
+        argv = ["two-sample", "--input", str(a), str(b), "--method", method]
+        assert main(argv + odd) == 0
+        assert "symmetrization" not in capsys.readouterr().err
+    groups = tmp_path / "groups.csv"
+    write_csv(groups, ["group", "y1", "y2"], rng.standard_normal((10, 2)),
+              ["a"] * 5 + ["b"] * 5)
+    argv = ["manova", "--input", str(groups), "--group-col", "group",
+            "--method", "pillai"]
+    assert main(argv + odd) == 0
+    assert "symmetrization" not in capsys.readouterr().err
 
 
 def test_grid_dump_round_trip(tmp_path, capsys):
@@ -353,6 +366,13 @@ def test_simulate_bad_config_is_usage_error(tmp_path, capsys):
     cpath.write_text('{"laws": "gauss"}')
     assert main(["simulate", "--config", str(cpath)]) == 1
     assert "laws" in capsys.readouterr().err
+    # unknown names are rejected before any replication runs
+    for bad in ({"score": "bogus"},
+                {"scatter": "bogus", "methods": ["co-sphericized"]}):
+        cpath.write_text(json.dumps(bad))
+        assert main(["simulate", "--config", str(cpath)]) == 1
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and "replication" not in err
 
 
 def test_permuted_labels_give_uniform_p_values(tmp_path, capsys):

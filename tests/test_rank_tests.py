@@ -27,7 +27,7 @@ from corank import (
     wilcoxon_score,
 )
 from corank.rank_tests import k_sample_statistic
-from oracles import group_sum_statistic
+from oracles import group_sum_statistic, rotate_grid
 
 
 def _pooled_ranks(n, seed, tie_break_seed=0):
@@ -230,7 +230,7 @@ def test_statistic_rotation_invariance_with_rotated_grid():
     o = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     grid = build_grid(make_spec(36, 2, symmetrize=True))
     r1 = two_sample_test(x, y, "wilcoxon", grid=grid)
-    r2 = two_sample_test(x @ o.T, y @ o.T, "wilcoxon", grid=grid.transform(o))
+    r2 = two_sample_test(x @ o.T, y @ o.T, "wilcoxon", grid=rotate_grid(grid, o))
     assert r2.statistic == pytest.approx(r1.statistic, abs=1e-10)
 
 
@@ -336,6 +336,24 @@ def test_regression_rejects_empty_design():
     rng = np.random.default_rng(36)
     with pytest.raises(InvalidInputError):
         regression_test(rng.standard_normal((10, 2)), np.zeros((10, 0)))
+
+
+def test_regression_needs_no_intercept():
+    rng = np.random.default_rng(37)
+    y = rng.standard_normal((40, 2))
+    c = rng.standard_normal((40, 2))
+    # constant columns centre to zero; the error names them
+    with_intercept = np.column_stack([np.ones(40), c, np.full(40, 0.1)])
+    with pytest.raises(DegenerateDesignError, match=r"\[0, 3\]"):
+        regression_test(y, with_intercept)
+    # the mean of six 0.1s is not exactly 0.1, so centring leaves dust
+    with pytest.raises(DegenerateDesignError, match=r"\[0\]"):
+        standardize_design(np.full((6, 1), 0.1))
+    # a common shift of the responses leaves the statistic unchanged
+    base = regression_test(y, c)
+    shifted = regression_test(y + np.array([3.5, -120.25]), c)
+    assert shifted.statistic == base.statistic
+    assert shifted.p_value == base.p_value
 
 
 def test_result_seed_is_the_seed_of_the_grid_used():

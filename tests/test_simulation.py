@@ -7,12 +7,14 @@ import pytest
 from scipy import stats as sps
 
 from corank import (
+    InvalidInputError,
     InvalidSpecError,
     PowerCurve,
     SimConfig,
     SimulationError,
     run_null_distribution,
     run_power_study,
+    simulation,
 )
 
 
@@ -57,6 +59,10 @@ def test_config_validation():
         SimConfig(n_replications=0)
     with pytest.raises(InvalidSpecError):
         SimConfig(alpha=1.0)
+    with pytest.raises(InvalidSpecError, match="'bogus'"):
+        SimConfig(score="bogus")
+    with pytest.raises(InvalidSpecError, match="'bogus'"):
+        SimConfig(methods=("co-sphericized",), scatter="bogus")
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -207,7 +213,12 @@ def test_single_replication_shape():
     assert stats["co"].shape == (1,)
 
 
-def test_failing_replication_reports_seed():
-    cfg = small_config(score="bogus", master_seed=3)
+def test_failing_replication_reports_seed(monkeypatch):
+    def failing_test(*args, **kwargs):
+        raise InvalidInputError("injected failure")
+
+    # the registry looks the test up in the module at call time
+    monkeypatch.setattr(simulation, "two_sample_test", failing_test)
+    cfg = small_config(master_seed=3)
     with pytest.raises(SimulationError, match=r"replication 0 \(seed \[3, 0\]\)"):
         run_power_study(cfg)
