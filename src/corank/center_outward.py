@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import solve_assignment, squared_cost
+from .assignment import WARM_START_MIN_N, _column_duals, solve_assignment, squared_cost
 from .errors import InvalidInputError, InvalidSpecError
 from .sphere_grid import Grid, GridSpec, build_grid
 
@@ -75,6 +75,65 @@ class RanksSigns:
         return self.n_r + 1
 
 
+# Exact column potentials a grid keeps, at most this many.
+_KEPT = 4
+
+
+def _has_duplicate_rows(z, sorted_columns):
+    """Whether ``z`` repeats a row; ``sorted_columns`` is ``z`` sorted per column."""
+    # a repeated row repeats a value in every column, which the sorted
+    # columns rule out in O(n d) for continuous data
+    if not (sorted_columns[1:] == sorted_columns[:-1]).any(axis=0).all():
+        return False
+    return np.unique(z, axis=0).shape[0] < z.shape[0]
+
+
+def _frame(grid, z):
+    """Column shift and scale of the frame a grid keeps its potentials in.
+
+    The squared cost of a scaled sample ``s * y`` is ``s`` times that of
+    ``y`` up to row terms and the column term ``(1 - s) |g_j|^2``, so the
+    kept form ``w = (v - |g|^2) / s`` carries a potential ``v`` across
+    samples of different spread; ``s`` is the median row norm of the
+    centred sample.
+    """
+    mid = z.shape[0] // 2
+    scale = np.partition(np.sqrt((z * z).sum(axis=1)), mid)[mid]
+    return (grid.points ** 2).sum(axis=1), scale
+
+
+def _solve_from_store(cost, z, grid):
+    """Assignment warm-started from the best exact potential the grid keeps.
+
+    The exact potential of the last miss is recovered here, at the next
+    call on the same grid, so a one-off call never pays for it.  Every
+    update replaces a whole entry of the store, so concurrent calls on
+    one grid can at worst lose a potential, which costs only time.
+    """
+    store = grid._potentials
+    shift, scale = _frame(grid, z)
+    kept = store.get("kept", ())
+    pending = store.pop("pending", None)
+    # a spread that under- or overflows makes a potential non-finite in
+    # one frame or the other; such a candidate is simply not offered
+    with np.errstate(all="ignore"):
+        if pending is not None:
+            z_prev, assigned, start, scale_prev = pending
+            v = _column_duals(squared_cost(z_prev, grid.points), assigned, start)
+            kept = ((v - shift) / scale_prev,) + kept[:_KEPT - 1]
+        candidates = [scale * w + shift for w in kept]
+    pairing = solve_assignment(
+        cost, potentials=[v for v in candidates if np.isfinite(v).all()]
+    )
+    if pairing.reused:
+        won = next(i for i, v in enumerate(candidates) if v is pairing.potential)
+        kept = (kept[won],) + kept[:won] + kept[won + 1:]
+    else:
+        store["pending"] = (z, pairing.assignment, pairing.potential, scale)
+    store["kept"] = kept
+    return pairing.assignment
+
+
 def empirical_map(sample, grid, tie_break_seed=0):
     """Compute the empirical center-outward map of a sample.
 
@@ -86,7 +145,8 @@ def empirical_map(sample, grid, tie_break_seed=0):
         Target grid.  A GridSpec is built here (using
         ``tie_break_seed``); a prebuilt Grid is used as-is, which lets
         callers reuse one grid across many samples or supply a rotated
-        grid.
+        grid.  Reusing a grid also speeds up its assignments (see
+        Notes).
     tie_break_seed : int
         Seed for tie-break directions when building from a GridSpec.
 
@@ -102,6 +162,18 @@ def empirical_map(sample, grid, tie_break_seed=0):
     offset swamps the small differences that decide the assignment;
     the coordinate-wise median is therefore subtracted before the cost
     matrix is formed, and reported as ``offset``.
+
+    From ``assignment.WARM_START_MIN_N`` observations on, a grid keeps up
+    to four exact column potentials of earlier samples and offers them
+    to ``solve_assignment`` as warm starts.  They are kept in a frame
+    that undoes the sample's spread, so they carry over between samples
+    of one law.  The potential of a solve the kept ones lost is
+    recovered at the next call on the same grid, from a cost matrix
+    recomputed then; a grid used once never pays for it.  A sample with
+    repeated rows has several optimal assignments, so it neither reads
+    nor writes the store, and the one returned never depends on the
+    grid's history.  The store never changes an assignment otherwise
+    either: any potential leads to the same optimum.
     """
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 2:
@@ -122,7 +194,12 @@ def empirical_map(sample, grid, tie_break_seed=0):
     # np.median's value, without its fixed cost of about 20 us per call
     ordered = np.sort(sample, axis=0)
     offset = (ordered[(n - 1) // 2] + ordered[n // 2]) / 2
-    assignment = solve_assignment(squared_cost(sample - offset, grid.points)).assignment
+    z = sample - offset
+    cost = squared_cost(z, grid.points)
+    if n < WARM_START_MIN_N or _has_duplicate_rows(z, ordered - offset):
+        assignment = solve_assignment(cost).assignment
+    else:
+        assignment = _solve_from_store(cost, z, grid)
     values = grid.points[assignment]
     return CenterOutwardMap(
         values=values,

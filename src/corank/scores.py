@@ -242,8 +242,9 @@ def get_score(name, d):
     if isinstance(name, (ScoreFunction, VectorScore)):
         return name
     try:
-        return SCORES[name](d)
-    except KeyError:
+        make = SCORES[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise InvalidScoreError(
             f"unknown score {name!r}; expected one of {sorted(SCORES)}"
         ) from None
+    return make(d)

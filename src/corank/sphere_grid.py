@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -232,6 +232,10 @@ class Grid:
     ``is_tiebreak`` marks the near-origin leftover points that carry
     rank 1/2.  Ranks and signs are always read from these integer
     fields, never recovered from floating coordinates.
+
+    A grid also keeps a private store of exact column potentials from
+    earlier assignments onto it (see ``center_outward.empirical_map``);
+    it only speeds up later ones and is not part of equality or repr.
     """
 
     points: np.ndarray
@@ -241,6 +245,9 @@ class Grid:
     directions: np.ndarray
     spec: GridSpec | None
     tie_break_seed: int = 0
+    _potentials: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n(self):

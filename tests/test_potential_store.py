@@ -1,0 +1,252 @@
+"""The exact column potentials a reused grid keeps for later assignments.
+
+A potential only shifts columns of the cost matrix, so whatever a grid's
+store holds, every assignment must equal SciPy's dense optimum on the
+same centred cost matrix; these tests check that, and that a one-off
+call pays nothing for the store.
+"""
+
+import sys
+import threading
+import warnings
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+from scipy.optimize import linear_sum_assignment
+
+from corank import (
+    Grid,
+    InvalidInputError,
+    SimConfig,
+    assignment,
+    build_grid,
+    center_outward,
+    empirical_map,
+    make_law,
+    make_spec,
+    run_power_study,
+    sample,
+    sample_covariance,
+    shift,
+    solve_assignment,
+    sphericize,
+    squared_cost,
+    two_sample_test,
+)
+
+LAWS = ("gauss", "t3", "mix2cauchy")
+
+
+def _draw(law, n, d, seed):
+    # d/2 independent draws of the bivariate law side by side
+    rng = np.random.default_rng(seed)
+    return np.hstack([sample(make_law(law), n, rng) for _ in range(d // 2)])
+
+
+def _dense(z, grid, offset):
+    return linear_sum_assignment(squared_cost(z - offset, grid))[1]
+
+
+def _jacobi_duals(cost, assigned, v0):
+    # the full-scan Bellman-Ford that _column_duals restricts to moved rows
+    m = cost.shape[0]
+    matched = cost[np.arange(m), assigned]
+    v = np.array(v0, dtype=float)
+    for _ in range(m):
+        u = matched - v[assigned]
+        relaxed = np.minimum(v, (cost - u[:, None]).min(axis=0))
+        if np.array_equal(relaxed, v):
+            break
+        v = relaxed
+    return v
+
+
+@pytest.mark.parametrize("m", [5, 60, 100, 250])
+def test_column_duals_equal_full_scan_and_are_exact(m):
+    rng = np.random.default_rng(m)
+    for law in LAWS:
+        cost = squared_cost(_draw(law, m, 2, m), rng.standard_normal((m, 2)))
+        assigned = linear_sum_assignment(cost)[1]
+        for v0 in (np.zeros(m), rng.uniform(-1.0, 1.0, m) * cost.max()):
+            v = assignment._column_duals(cost, assigned, v0)
+            assert np.array_equal(v, _jacobi_duals(cost, assigned, v0))
+            u = cost[np.arange(m), assigned] - v[assigned]
+            reduced = cost - u[:, None] - v
+            assert reduced.min() >= -1e-9 * cost.max()
+            assert np.abs(reduced[np.arange(m), assigned]).max() <= 1e-9 * cost.max()
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("n", [250, 400, 1000])
+def test_reused_grid_matches_dense_solver(n, d):
+    # the laws take turns on one grid, so each call sees the potentials
+    # the earlier ones left, same-law and cross-law alike
+    grid = build_grid(make_spec(n, d, symmetrize=True))
+    for k, law in enumerate(LAWS * 2):
+        z = _draw(law, n, d, [n, d, k])
+        z[n // 2:] += 0.1 * k
+        com = empirical_map(z, grid)
+        assert np.array_equal(com.assignment, _dense(z, grid, com.offset))
+    assert grid._potentials["kept"]
+
+
+def test_candidates_are_scored_against_the_subproblem():
+    cost = squared_cost(_draw("mix2cauchy", 400, 2, 11),
+                        build_grid(make_spec(400, 2, symmetrize=True)))
+    cols = linear_sum_assignment(cost)[1]
+    exact = assignment._column_duals(cost, cols, np.zeros(400))
+    alone = solve_assignment(cost)
+    assert alone.potential is not None and not alone.reused
+    useless = np.zeros(400)  # more collisions than the subproblem's
+    lost = solve_assignment(cost, potentials=[useless])
+    assert not lost.reused
+    assert np.array_equal(lost.potential, alone.potential)
+    won = solve_assignment(cost, potentials=[useless, exact])
+    assert won.reused and won.potential is exact
+    for pairing in (alone, lost, won):
+        assert np.array_equal(pairing.assignment, cols)
+    with pytest.raises(InvalidInputError, match="finite"):
+        solve_assignment(cost, potentials=[np.full(400, np.nan)])
+
+
+def test_poisoned_store_still_gives_the_optimum(monkeypatch):
+    # random potentials scaled by the largest cost, forced to win the
+    # scoring, and a store filled by co-sphericized calls
+    n = 400
+    grid = build_grid(make_spec(n, 2, symmetrize=True))
+    rng = np.random.default_rng(12)
+    z = _draw("mix2cauchy", n, 2, 13)
+    big = squared_cost(z, grid).max()
+    grid._potentials["kept"] = tuple(rng.uniform(-1.0, 1.0, n) * big for _ in range(4))
+    scores = iter(range(100, 0, -1))
+    monkeypatch.setattr(assignment, "_collisions", lambda reduced: next(scores))
+    com = empirical_map(z, grid)
+    assert np.array_equal(com.assignment, _dense(z, grid, com.offset))
+    monkeypatch.undo()
+
+    grid = build_grid(make_spec(n, 2, symmetrize=True))
+    for k in range(3):
+        w = _draw("mix2cauchy", n, 2, [14, k])
+        empirical_map(sphericize(w, sample_covariance(w), root="cholesky"), grid)
+    assert grid._potentials["kept"]
+    for k in range(3):
+        w = _draw("mix2cauchy", n, 2, [15, k])
+        com = empirical_map(w, grid)
+        assert np.array_equal(com.assignment, _dense(w, grid, com.offset))
+
+
+def test_study_does_not_depend_on_replication_order():
+    config = SimConfig(law="mix2cauchy", sizes=(150, 150), deltas=(0.0, 0.3),
+                       methods=("co",), n_replications=6, master_seed=21)
+    forward = [row["rejections"] for row in run_power_study(config).rows]
+    law = make_law(config.law)
+    grid = build_grid(make_spec(300, 2, symmetrize=True), tie_break_seed=21)
+    backward = np.zeros(2, dtype=int)
+    for rep in reversed(range(config.n_replications)):
+        rng = np.random.default_rng([config.master_seed, rep])
+        x, y = sample(law, 150, rng), sample(law, 150, rng)
+        for j, delta in enumerate(config.deltas):
+            backward[j] += two_sample_test(x, shift(y, delta), grid=grid).p_value < 0.05
+    assert grid._potentials["kept"]
+    assert forward == backward.tolist()
+
+
+def test_one_off_calls_pay_for_no_scoring_or_recovery(monkeypatch):
+    counts = {"score": 0, "recover": 0}
+
+    def spy(key, fn):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(assignment, "_collisions",
+                        spy("score", assignment._collisions))
+    monkeypatch.setattr(center_outward, "_column_duals",
+                        spy("recover", center_outward._column_duals))
+    law = make_law("mix2cauchy")
+    rng = np.random.default_rng(31)
+    groups = [sample(law, 200, rng) for _ in range(4)]
+    for x, y in (groups[:2], groups[2:]):
+        two_sample_test(x, y)  # builds its own grid
+    assert counts == {"score": 0, "recover": 0}
+    # the spies do see the store at work once a grid is reused
+    grid = build_grid(make_spec(400, 2, symmetrize=True))
+    for x, y in (groups[:2], groups[2:]):
+        two_sample_test(x, y, grid=grid)
+    assert counts["recover"] == 1 and counts["score"] >= 2
+
+
+def test_duplicated_rows_never_meet_the_store():
+    rng = np.random.default_rng(41)
+    x = np.round(rng.standard_normal((150, 2)), 1)
+    y = np.round(rng.standard_normal((150, 2)), 1)
+    assert np.unique(np.vstack([x, y]), axis=0).shape[0] < 300
+    fresh = two_sample_test(x, y, grid=build_grid(make_spec(300, 2, symmetrize=True)))
+    grid = build_grid(make_spec(300, 2, symmetrize=True))
+    law = make_law("t3")
+    for _ in range(3):
+        two_sample_test(sample(law, 150, rng), sample(law, 150, rng), grid=grid)
+    store = dict(grid._potentials)
+    assert store["kept"]
+    again = two_sample_test(x, y, grid=grid)
+    assert again.statistic == fresh.statistic
+    assert again.p_value == fresh.p_value
+    assert grid._potentials.keys() == store.keys()
+    assert all(grid._potentials[key] is store[key] for key in store)
+
+
+def test_store_is_private_to_each_grid():
+    (field,) = [f for f in fields(Grid) if f.name == "_potentials"]
+    assert not (field.init or field.repr or field.compare)
+    grid = build_grid(make_spec(300, 2, symmetrize=True))
+    empirical_map(_draw("gauss", 300, 2, 51), grid)
+    assert grid._potentials["pending"]
+    assert build_grid(grid.spec)._potentials == {}
+    assert replace(grid, tie_break_seed=1)._potentials == {}
+
+
+def test_extreme_spreads_on_one_grid_neither_raise_nor_warn():
+    # the median row norm underflows to 0 at 1e-300, and potentials kept
+    # from one extreme overflow when rescaled to the other
+    grid = build_grid(make_spec(300, 2, symmetrize=True))
+    rng = np.random.default_rng(71)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-300, 1e-200, 1e150, 1.0) * 2:
+            z = rng.standard_normal((300, 2)) * scale
+            com = empirical_map(z, grid)
+            assert sorted(com.assignment) == list(range(300))
+            if scale == 1.0:
+                assert np.array_equal(com.assignment, _dense(z, grid, com.offset))
+
+def test_threads_sharing_a_grid_get_the_optimum():
+    # the store is not locked: concurrent calls may lose a potential,
+    # never an optimum, and never raise
+    n = 300
+    grid = build_grid(make_spec(n, 2, symmetrize=True))
+    samples = [_draw(law, n, 2, [61, k]) for k, law in enumerate(LAWS * 4)]
+    want = [_dense(z, grid, np.median(z, axis=0)) for z in samples]
+    got = [None] * len(samples)
+
+    def work(k):
+        got[k] = empirical_map(samples[k], grid).assignment
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda j=j: [work(k) for k in range(j, len(samples), 4)])
+            for j in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(len(samples)):
+        assert np.array_equal(got[k], want[k])
+    assert grid._potentials["kept"]

@@ -24,6 +24,7 @@ from corank import (
     get_score,
     make_spec,
     sign_score,
+    two_sample_test,
     van_der_waerden_score,
     wilcoxon_score,
 )
@@ -199,6 +200,15 @@ def test_get_score_names():
     # passing a ready-made score through is allowed
     w = wilcoxon_score()
     assert get_score(w, 2) is w
+
+
+def test_unhashable_score_name_is_a_score_error():
+    with pytest.raises(InvalidScoreError, match="vdw"):
+        get_score(["vdw"], 2)
+    rng = np.random.default_rng(5)
+    with pytest.raises(InvalidScoreError):
+        two_sample_test(rng.standard_normal((6, 2)), rng.standard_normal((6, 2)),
+                        score=["vdw"])
 
 
 def test_score_cov_spherical_form():
