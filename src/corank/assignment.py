@@ -13,42 +13,29 @@ constant from a row or a column shifts the total of every bijection by
 the same amount, so the reduced matrix has exactly the optimal
 bijections of ``cost``: the potential only saves time.
 
-Two potentials compete.
+The potential comes from one of two places.
 
-1. A coarse subproblem, in the spirit of Schmitzer's multiscale
-   transport: a seeded random ``n // 4`` by ``n // 4`` submatrix is
-   solved the same way, recursively, its exact column duals are
-   recovered from the optimal pairing by Bellman-Ford
-   (``_column_duals``), and they are extended to the full problem.
-2. Candidates the caller passes.  ``center_outward.empirical_map``
-   passes the exact potentials a reused ``Grid`` keeps from earlier
-   samples (one is recovered, with the same Bellman-Ford, after a solve
-   the candidates lost, at the next call on that grid).
-
-Each potential is scored by its row-argmin collisions, ``n`` minus the
-number of distinct ``argmin_j (cost_ij - v_j)``, which costs one reduced
-matrix; a candidate starts the solve only if it beats the subproblem.
-That guard matters.  At n = 400 (mix2cauchy, d = 2) the subproblem
-leaves 229-258 collisions and no potential 257-303.  A potential of
-another sample of the same kind leaves 189-275.  One from a sphericized
-sample, offered to a raw one or the other way round, left 318-357 when
-potentials were kept as they are, and 198-277 in the spread-free frame
-``empirical_map`` keeps them in.
-
-Reusing a ``Grid`` is what brings kept potentials into play; a grid
-built for one call only ever uses the subproblem.  The store is not
-locked: threads sharing one grid can lose potentials, which costs only
-time, never the optimum.
+1. The caller.  ``center_outward.empirical_map`` passes the exact
+   column duals of an earlier sample on the same reused ``Grid``,
+   recovered once from that sample's optimal pairing by Bellman-Ford
+   (``_column_duals``).  It scales every sample to median row norm 1
+   before forming the cost, so those duals live in the frame of every
+   later cost matrix on the grid.
+2. Otherwise, a coarse subproblem, in the spirit of Schmitzer's
+   multiscale transport: a seeded random ``n // 4`` by ``n // 4``
+   submatrix is solved the same way, recursively, its exact column duals
+   are recovered with ``_column_duals``, and they are extended to the
+   full problem.  This is the whole warm start of a one-off call, of a
+   grid's first solve and of a sample with repeated rows.
 
 Timings on a 2-core x86 machine: the subproblem halves a one-off
 two-sample test at n = 1000 (median 436 ms to 214 ms) and cuts the bare
-solve 2-3.5x at n = 2000.  At n = 400 (mix2cauchy, 24 solves, median of
-best-of-3) the SciPy finish takes 33.5 ms cold, 22.0 ms from the
-subproblem, 13.6 ms from the exact potential of another sample on the
-same grid, 4.8 ms from that of the previous shift of the same sample
-and 2.2 ms from the problem's own; recovering an exact potential costs
-10-33 ms (median 13.6), so it is done only after a miss.  Below
-``WARM_START_MIN_N`` the cold dense solve runs unchanged.
+solve 2-3.5x at n = 2000.  At n = 1000 (mix2cauchy, 3 solves, median of
+best-of-3) the SciPy finish takes 308 ms cold, 180 ms from the
+subproblem and 97 ms from the exact potential of another sample on the
+same grid; recovering that potential from zeros took 91 ms.  Below
+``WARM_START_MIN_N`` the cold dense solve runs unless the caller passes
+a potential.
 """
 
 from __future__ import annotations
@@ -70,16 +57,11 @@ class Pairing:
     """An observation-to-gridpoint bijection and its total cost.
 
     ``assignment[i]`` is the index of the gridpoint paired with
-    observation ``i``.  ``potential`` is the column potential the dense
-    solve started from (None for a cold solve) and ``reused`` says
-    whether it was one of the caller's candidates rather than the
-    coarse subproblem's.
+    observation ``i``.
     """
 
     assignment: np.ndarray
     total_cost: float
-    potential: np.ndarray | None = None
-    reused: bool = False
 
 
 def squared_cost(sample, grid):
@@ -153,61 +135,39 @@ def _column_potential(cost):
     rows = rng.choice(n, size=m, replace=False)
     cols = rng.choice(n, size=m, replace=False)
     sub = cost[np.ix_(rows, cols)]
-    assigned = _solve(sub)[0]
+    assigned = _solve(sub)
     v_sub = _column_duals(sub, assigned, np.zeros(m))
     coarse = cost[rows]
     coarse -= (sub[np.arange(m), assigned] - v_sub[assigned])[:, None]
     return coarse.min(axis=0)
 
 
-def _collisions(reduced):
-    """``n`` minus the number of distinct columns holding a row minimum.
-
-    Zero when the row minima already form a bijection; the fewer
-    collisions a potential leaves, the less the dense solve has to do.
-    """
-    return reduced.shape[0] - np.unique(reduced.argmin(axis=1)).size
-
-
-def _solve(cost, potentials=()):
-    """Column assigned to each row of a validated square cost matrix.
-
-    Returns ``(assignment, start, reused)``: the column potential the
-    dense solve started from (None below ``WARM_START_MIN_N``) and
-    whether it was one of ``potentials``.
-    """
-    if cost.shape[0] < WARM_START_MIN_N:
-        return linear_sum_assignment(cost)[1], None, False
+def _solve(cost, potential=None):
+    """Column assigned to each row of a validated square cost matrix."""
+    if potential is None:
+        if cost.shape[0] < WARM_START_MIN_N:
+            return linear_sum_assignment(cost)[1]
+        potential = _column_potential(cost)
     # the dense solve runs on cost - u[:, None] - v with u = min_j (cost - v)
-    start = _column_potential(cost)
-    reduced = cost - start
-    reused = False
-    if potentials:
-        best = _collisions(reduced)
-        for v in potentials:
-            trial = cost - v
-            score = _collisions(trial)
-            if score < best:
-                best, start, reduced, reused = score, v, trial, True
+    reduced = cost - potential
     reduced -= reduced.min(axis=1)[:, None]
-    return linear_sum_assignment(reduced)[1], start, reused
+    return linear_sum_assignment(reduced)[1]
 
 
-def solve_assignment(cost, *, potentials=()):
+def solve_assignment(cost, *, potential=None):
     """Exact minimum-cost bijection for a square cost matrix.
 
     Parameters
     ----------
     cost : (n, n) array
-    potentials : sequence of (n,) arrays
-        Candidate column potentials for the warm start (used from
-        ``WARM_START_MIN_N`` on).  Each is scored by its row-argmin
-        collisions on ``cost`` and the best one starts the dense solve,
-        unless none beats the coarse-subproblem potential.  Any finite
-        potential gives the same optimum; a poor one only costs time.
+    potential : (n,) array, optional
+        Column potential to warm-start the dense solve from.  Without
+        one, a coarse-subproblem potential is used from
+        ``WARM_START_MIN_N`` on.  Any finite potential gives the same
+        optimum; a poor one only costs time.
 
     Ties between optimal bijections are broken in an unspecified but
-    deterministic way (same input and potentials, same output).
+    deterministic way (same input and potential, same output).
 
     Returns
     -------
@@ -215,10 +175,10 @@ def solve_assignment(cost, *, potentials=()):
     """
     cost = _check_cost(cost)
     n = cost.shape[0]
-    for v in potentials:
-        if np.shape(v) != (n,) or not np.isfinite(v).all():
-            raise InvalidInputError(f"a potential must be {n} finite numbers")
-    assignment, start, reused = _solve(cost, potentials)
+    if potential is not None and (
+        np.shape(potential) != (n,) or not np.isfinite(potential).all()
+    ):
+        raise InvalidInputError(f"a potential must be {n} finite numbers")
+    assignment = _solve(cost, potential)
     total = float(cost[np.arange(n), assignment].sum())
-    return Pairing(assignment=assignment, total_cost=total, potential=start,
-                   reused=reused)
+    return Pairing(assignment=assignment, total_cost=total)

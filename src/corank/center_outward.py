@@ -75,10 +75,6 @@ class RanksSigns:
         return self.n_r + 1
 
 
-# Exact column potentials a grid keeps, at most this many.
-_KEPT = 4
-
-
 def _has_duplicate_rows(z, sorted_columns):
     """Whether ``z`` repeats a row; ``sorted_columns`` is ``z`` sorted per column."""
     # a repeated row repeats a value in every column, which the sorted
@@ -88,50 +84,47 @@ def _has_duplicate_rows(z, sorted_columns):
     return np.unique(z, axis=0).shape[0] < z.shape[0]
 
 
-def _frame(grid, z):
-    """Column shift and scale of the frame a grid keeps its potentials in.
+def _spread(z):
+    """Two divisors that bring ``z`` to median row norm 1, applied in turn.
 
-    The squared cost of a scaled sample ``s * y`` is ``s`` times that of
-    ``y`` up to row terms and the column term ``(1 - s) |g_j|^2``, so the
-    kept form ``w = (v - |g|^2) / s`` carries a potential ``v`` across
-    samples of different spread; ``s`` is the median row norm of the
-    centred sample.
+    The first is the largest |coordinate|, so squaring the rows it leaves
+    cannot overflow, and their median norm, the second, underflows only
+    below about 1e-154 of the largest coordinate.
+    Both are 1 when that median is 0, which happens only when more than
+    half the rows are 0.
     """
+    top = np.abs(z).max()
+    if top == 0.0:
+        return 1.0, 1.0
+    y = z / top
     mid = z.shape[0] // 2
-    scale = np.partition(np.sqrt((z * z).sum(axis=1)), mid)[mid]
-    return (grid.points ** 2).sum(axis=1), scale
+    spread = np.partition(np.sqrt((y * y).sum(axis=1)), mid)[mid]
+    return (top, spread) if spread > 0.0 else (1.0, 1.0)
 
 
 def _solve_from_store(cost, z, grid):
-    """Assignment warm-started from the best exact potential the grid keeps.
+    """Assignment warm-started from the exact potential the grid keeps.
 
-    The exact potential of the last miss is recovered here, at the next
-    call on the same grid, so a one-off call never pays for it.  Every
-    update replaces a whole entry of the store, so concurrent calls on
-    one grid can at worst lose a potential, which costs only time.
+    The grid's first such solve records its sample and assignment; the
+    next one recovers that sample's exact column duals from them, and
+    every solve from then on starts from those, so a grid used once
+    never pays for the recovery.  Every update replaces a whole entry of
+    the store, so concurrent calls on one grid can at worst repeat a
+    recovery, which costs only time.
     """
     store = grid._potentials
-    shift, scale = _frame(grid, z)
-    kept = store.get("kept", ())
-    pending = store.pop("pending", None)
-    # a spread that under- or overflows makes a potential non-finite in
-    # one frame or the other; such a candidate is simply not offered
-    with np.errstate(all="ignore"):
-        if pending is not None:
-            z_prev, assigned, start, scale_prev = pending
-            v = _column_duals(squared_cost(z_prev, grid.points), assigned, start)
-            kept = ((v - shift) / scale_prev,) + kept[:_KEPT - 1]
-        candidates = [scale * w + shift for w in kept]
-    pairing = solve_assignment(
-        cost, potentials=[v for v in candidates if np.isfinite(v).all()]
-    )
-    if pairing.reused:
-        won = next(i for i, v in enumerate(candidates) if v is pairing.potential)
-        kept = (kept[won],) + kept[:won] + kept[won + 1:]
-    else:
-        store["pending"] = (z, pairing.assignment, pairing.potential, scale)
-    store["kept"] = kept
-    return pairing.assignment
+    kept = store.get("kept")
+    if kept is None:
+        pending = store.pop("pending", None)
+        if pending is None:
+            assignment = solve_assignment(cost).assignment
+            store["pending"] = (z, assignment)
+            return assignment
+        z_prev, assigned = pending
+        kept = _column_duals(squared_cost(z_prev, grid.points), assigned,
+                             np.zeros(grid.n))
+        store["kept"] = kept
+    return solve_assignment(cost, potential=kept).assignment
 
 
 def empirical_map(sample, grid, tie_break_seed=0):
@@ -163,17 +156,28 @@ def empirical_map(sample, grid, tie_break_seed=0):
     the coordinate-wise median is therefore subtracted before the cost
     matrix is formed, and reported as ``offset``.
 
-    From ``assignment.WARM_START_MIN_N`` observations on, a grid keeps up
-    to four exact column potentials of earlier samples and offers them
-    to ``solve_assignment`` as warm starts.  They are kept in a frame
-    that undoes the sample's spread, so they carry over between samples
-    of one law.  The potential of a solve the kept ones lost is
-    recovered at the next call on the same grid, from a cost matrix
-    recomputed then; a grid used once never pays for it.  A sample with
-    repeated rows has several optimal assignments, so it neither reads
-    nor writes the store, and the one returned never depends on the
-    grid's history.  The store never changes an assignment otherwise
-    either: any potential leads to the same optimum.
+    A rescaling multiplies the cost by a constant and adds column
+    constants, so it does not change the optimal assignment either; but
+    at a spread near 1e150 or 1e-160 the squared distances overflow or
+    lose every digit that decides it.  The centred sample is therefore
+    divided by its median row norm (computed after dividing by its
+    largest |coordinate|, so that it neither overflows nor underflows)
+    before the cost matrix is formed.  It is left unscaled when that
+    norm is 0, which happens only when more than half the rows equal
+    the median.
+
+    Every cost matrix on one grid is thus in one frame, so the exact
+    column potential of one sample is a good warm start for the next.
+    From ``assignment.WARM_START_MIN_N`` observations on, a grid's first
+    solve records its scaled sample and assignment; the next call on
+    the grid recovers that sample's exact column duals from a cost
+    matrix recomputed then, and that call and every later one start the
+    dense solve from them.  A grid used once never pays for the
+    recovery.  A sample with repeated rows has several optimal
+    assignments, so it neither reads nor writes the store, and the one
+    returned never depends on the grid's history.  The store never
+    changes an assignment otherwise either: any potential leads to the
+    same optimum.
     """
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 2:
@@ -195,8 +199,12 @@ def empirical_map(sample, grid, tie_break_seed=0):
     ordered = np.sort(sample, axis=0)
     offset = (ordered[(n - 1) // 2] + ordered[n // 2]) / 2
     z = sample - offset
+    top, spread = _spread(z)
+    z = z / top / spread
     cost = squared_cost(z, grid.points)
-    if n < WARM_START_MIN_N or _has_duplicate_rows(z, ordered - offset):
+    if n < WARM_START_MIN_N or _has_duplicate_rows(
+        z, (ordered - offset) / top / spread
+    ):
         assignment = solve_assignment(cost).assignment
     else:
         assignment = _solve_from_store(cost, z, grid)

@@ -115,6 +115,12 @@ class ScoreFunction:
             out = _vdw_j(self.d, arr)
         else:
             out = np.asarray(self.fn(arr), dtype=float)
+            if out.ndim == 0:  # a constant J
+                out = np.full_like(arr, out)
+            elif out.shape != arr.shape:
+                raise InvalidScoreError(
+                    f"score returned shape {out.shape} for ranks of shape {arr.shape}"
+                )
         return out if np.ndim(r) else float(out)
 
     def norm_sq(self):

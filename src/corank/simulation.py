@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
+import operator
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -61,6 +63,31 @@ METHODS = {
 }
 
 
+def _number(value):
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _tuple_of(read):
+    def convert(value):
+        if isinstance(value, (str, bytes)) or not np.iterable(value):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(read(v) for v in value)
+    return convert
+
+
+# field -> conversion to its type; a TypeError or ValueError names the field
+_FIELD_TYPES = {
+    "sizes": _tuple_of(operator.index),
+    "deltas": _tuple_of(_number),
+    "methods": _tuple_of(str),
+    "n_replications": operator.index,
+    "alpha": _number,
+    "master_seed": operator.index,
+}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Study definition; desk-scale defaults."""
@@ -79,9 +106,12 @@ class SimConfig:
     scatter: str = "sample"
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(v) for v in self.sizes))
-        object.__setattr__(self, "deltas", tuple(float(v) for v in self.deltas))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        for key, convert in _FIELD_TYPES.items():
+            value = getattr(self, key)
+            try:
+                object.__setattr__(self, key, convert(value))
+            except (TypeError, ValueError) as err:
+                raise InvalidSpecError(f"{key}: {err}") from None
         if self.study not in METHODS:
             raise InvalidSpecError(
                 f"study must be one of {sorted(METHODS)}, got {self.study!r}"

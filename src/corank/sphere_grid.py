@@ -233,9 +233,11 @@ class Grid:
     rank 1/2.  Ranks and signs are always read from these integer
     fields, never recovered from floating coordinates.
 
-    A grid also keeps a private store of exact column potentials from
-    earlier assignments onto it (see ``center_outward.empirical_map``);
-    it only speeds up later ones and is not part of equality or repr.
+    A grid also keeps a private store holding one exact column
+    potential, recovered from an earlier assignment onto it of a sample
+    scaled to median row norm 1 (see ``center_outward.empirical_map``);
+    it only speeds up later assignments and is not part of equality or
+    repr.
     """
 
     points: np.ndarray

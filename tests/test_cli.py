@@ -373,6 +373,13 @@ def test_simulate_bad_config_is_usage_error(tmp_path, capsys):
         assert main(["simulate", "--config", str(cpath)]) == 1
         err = capsys.readouterr().err
         assert "'bogus'" in err and "replication" not in err
+    # so are fields of the wrong type, without a traceback
+    for key, value in (("sizes", "50,50"), ("n_replications", "5"),
+                       ("deltas", 0.1), ("alpha", "0.05")):
+        cpath.write_text(json.dumps({key: value}))
+        assert main(["simulate", "--config", str(cpath)]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
 
 
 def test_permuted_labels_give_uniform_p_values(tmp_path, capsys):

@@ -222,6 +222,21 @@ def test_statistic_shift_invariance_exact():
     assert r1.statistic == r2.statistic
 
 
+@pytest.mark.parametrize("n", [100, 400])
+def test_statistic_rescaling_invariance_on_a_reused_grid(n):
+    # a power-of-two rescaling is exact in floating point, so it must not
+    # move a single rank, whatever spreads the grid has seen before
+    law = corank.make_law("mix2cauchy")
+    rng = np.random.default_rng(n)
+    x, y = corank.sample(law, n // 2, rng), corank.sample(law, n // 2, rng)
+    spec = make_spec(n, 2, symmetrize=True)
+    want = two_sample_test(x, y, "vdw", grid=build_grid(spec))
+    grid = build_grid(spec)
+    for k in (-900, -40, 40, 500):
+        got = two_sample_test(x * 2.0 ** k, y * 2.0 ** k, "vdw", grid=grid)
+        assert (got.statistic, got.p_value) == (want.statistic, want.p_value)
+
+
 def test_statistic_rotation_invariance_with_rotated_grid():
     rng = np.random.default_rng(30)
     x = rng.standard_normal((18, 2))

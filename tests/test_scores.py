@@ -158,9 +158,19 @@ def test_scores_are_nondecreasing():
 
 
 def test_custom_score_constant():
-    score = custom_score(lambda r: np.ones_like(np.asarray(r, dtype=float)))
-    assert score.evaluate(0.7) == 1.0
-    assert score.norm_sq() == pytest.approx(1.0, rel=1e-9)
+    for fn in (lambda r: np.ones_like(np.asarray(r, dtype=float)), lambda r: 1.0):
+        score = custom_score(fn)
+        assert score.evaluate(0.7) == 1.0
+        assert np.array_equal(score.evaluate(np.array([0.0, 0.5])), [1.0, 1.0])
+        assert score.norm_sq() == pytest.approx(1.0, rel=1e-9)
+    # a constant J is the sign score
+    rng = np.random.default_rng(161)
+    x, y = rng.standard_normal((20, 2)), rng.standard_normal((20, 2)) + 0.3
+    got = two_sample_test(x, y, custom_score(lambda r: 1.0))
+    assert got.statistic == two_sample_test(x, y, "sign").statistic
+    wrong = custom_score(lambda r: np.ones(3), norm_sq=1.0)
+    with pytest.raises(InvalidScoreError, match="shape"):
+        wrong.evaluate(np.array([0.0, 0.5]))
 
 
 def test_custom_score_norm_matches_standard_kinds():

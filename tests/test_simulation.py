@@ -63,6 +63,11 @@ def test_config_validation():
         SimConfig(score="bogus")
     with pytest.raises(InvalidSpecError, match="'bogus'"):
         SimConfig(methods=("co-sphericized",), scatter="bogus")
+    # a field of the wrong type is a spec error naming the field
+    for key, value in (("sizes", "50,50"), ("n_replications", "5"),
+                       ("deltas", 0.1), ("alpha", "0.05")):
+        with pytest.raises(InvalidSpecError, match=key):
+            SimConfig(**{key: value})
 
 
 def test_config_from_dict_rejects_unknown_keys():
