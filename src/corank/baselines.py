@@ -161,7 +161,7 @@ def elliptical_rank_test(samples, score="wilcoxon"):
     ranks and directions then feed the same standardized linear rank
     statistic as the center-outward tests (chi-square, (K-1)*d dof).
     """
-    samples = validate_groups(samples, 2)
+    samples = validate_groups(samples)
     pooled = np.vstack(samples)
     n, d = pooled.shape
     score = get_score(score, d)
@@ -192,7 +192,7 @@ def sphericized_center_outward_test(samples, score="wilcoxon", scatter="sample",
     sample that overrides them), mean what they mean in
     :func:`~corank.rank_tests.two_sample_test`.
     """
-    samples = validate_groups(samples, 2)
+    samples = validate_groups(samples)
     pooled = np.vstack(samples)
     if scatter not in SCATTERS:
         raise InvalidInputError(
@@ -263,7 +263,7 @@ def pillai_manova(samples):
     ``V = trace(H (H + E)^{-1})`` from the between- and within-group
     SSCP matrices.
     """
-    samples = validate_groups(samples, 2)
+    samples = validate_groups(samples)
     pooled = np.vstack(samples)
     n, d = pooled.shape
     k = len(samples)

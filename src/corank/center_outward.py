@@ -209,10 +209,12 @@ def empirical_map(sample, grid, tie_break_seed=0):
     else:
         assignment = _solve_from_store(cost, z, grid)
     values = grid.points[assignment]
+    with np.errstate(over="ignore"):  # inf once the spread passes about 1e154
+        total_cost = float(((sample - values) ** 2).sum(axis=1).sum())
     return CenterOutwardMap(
         values=values,
         assignment=assignment,
-        total_cost=float(((sample - values) ** 2).sum(axis=1).sum()),
+        total_cost=total_cost,
         grid=grid,
         offset=offset,
     )

@@ -147,14 +147,17 @@ def _grid_kwargs(args):
     }
 
 
-def _emit(args, result):
-    gs = result.grid_spec
-    if gs is not None and not gs.symmetrize and not args.no_symmetrize:
+def _note_odd_ns(args, spec):
+    if spec is not None and not spec.symmetrize and not args.no_symmetrize:
         # only an odd explicit n_s turns symmetrization off unasked
         print(
-            f"note: n_s={gs.n_s} is odd, disabling direction symmetrization",
+            f"note: n_s={spec.n_s} is odd, disabling direction symmetrization",
             file=sys.stderr,
         )
+
+
+def _emit(args, result):
+    _note_odd_ns(args, result.grid_spec)
     payload = result.to_dict()
     if args.json:
         text = json.dumps(payload, indent=2)
@@ -242,8 +245,9 @@ def _cmd_simulate(args):
 def _cmd_grid_dump(args):
     spec = make_spec(
         args.n, args.d, n_r=args.nr, n_s=args.ns,
-        symmetrize=not args.no_symmetrize,
+        symmetrize=_grid_kwargs(args)["symmetrize"],
     )
+    _note_odd_ns(args, spec)
     grid = build_grid(spec, tie_break_seed=args.seed)
     if args.out:
         grid_to_csv(grid, args.out)

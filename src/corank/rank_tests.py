@@ -239,11 +239,11 @@ def k_sample_statistic(rs, sizes, score, grid=None):
     return _quadratic_form(design, rs, score, grid)
 
 
-def validate_groups(samples, min_k):
-    """Check K >= ``min_k`` 2-d groups of equal width; return them as arrays."""
+def validate_groups(samples):
+    """Check K >= 2 2-d groups of equal width; return them as arrays."""
     arrays = [np.asarray(s, dtype=float) for s in samples]
-    if len(arrays) < min_k:
-        raise InvalidInputError(f"need at least {min_k} groups, got {len(arrays)}")
+    if len(arrays) < 2:
+        raise InvalidInputError(f"need at least 2 groups, got {len(arrays)}")
     d = None
     for k, a in enumerate(arrays):
         if a.ndim != 2:
@@ -284,10 +284,8 @@ def two_sample_test(sample1, sample2, score="wilcoxon", *, n_r=None, n_s=None,
     TestResult
         Chi-square statistic with d degrees of freedom.
     """
-    samples = validate_groups([sample1, sample2], 2)
-    result = regression_test(
-        np.vstack(samples), _dummy_covariates([s.shape[0] for s in samples]),
-        None, score, n_r=n_r, n_s=n_s, symmetrize=symmetrize,
+    result = manova_test(
+        [sample1, sample2], score, n_r=n_r, n_s=n_s, symmetrize=symmetrize,
         tie_break_seed=tie_break_seed, grid=grid,
     )
     return replace(result, method="co-two-sample")
@@ -302,7 +300,7 @@ def manova_test(samples, score="wilcoxon", *, n_r=None, n_s=None,
     freedom.  With K = 2 this is exactly the two-sample test.  It is
     :func:`regression_test` on the dummy-coded design of the groups.
     """
-    samples = validate_groups(samples, 2)
+    samples = validate_groups(samples)
     result = regression_test(
         np.vstack(samples), _dummy_covariates([s.shape[0] for s in samples]),
         None, score, n_r=n_r, n_s=n_s, symmetrize=symmetrize,

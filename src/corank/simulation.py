@@ -1,13 +1,16 @@
 """Monte Carlo power and null-distribution studies.
 
 A study draws the groups from a named law, shifts the last group by
-each delta, runs each requested method, and counts rejections at level
-alpha.  Replication r uses the generator seeded with
-``[master_seed, r]``, so results are reproducible and independent of
-the order (or any parallel schedule) in which replications run; the
-aggregation is a plain sum of counts.  The same base draws are reused
-across deltas and methods (common random numbers), which sharpens power
-comparisons at no cost.
+each delta and runs each requested method on one study grid.  Its
+record is two ``(methods, deltas, replications)`` float arrays: the
+statistic and the p-value of every call.  The power curve counts
+p-values below alpha along the replication axis; the null draws are the
+statistics of a study with the single delta 0.  Replication r uses the
+generator seeded with ``[master_seed, r]``, so the record is
+reproducible and independent of the order (or any parallel schedule) in
+which replications run.  The same base draws are reused across deltas
+and methods (common random numbers), which sharpens power comparisons
+at no cost.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import csv
 import json
 import numbers
 import operator
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,6 +72,24 @@ def _number(value):
     return float(value)
 
 
+def _string(value):
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _one_of(known):
+    def convert(value):
+        if _string(value) not in known:
+            raise ValueError(f"must be one of {tuple(known)}, got {value!r}")
+        return value
+    return convert
+
+
+def _optional(read):
+    return lambda value: None if value is None else read(value)
+
+
 def _tuple_of(read):
     def convert(value):
         if isinstance(value, (str, bytes)) or not np.iterable(value):
@@ -79,12 +100,18 @@ def _tuple_of(read):
 
 # field -> conversion to its type; a TypeError or ValueError names the field
 _FIELD_TYPES = {
+    "study": _one_of(METHODS),
+    "law": _string,
     "sizes": _tuple_of(operator.index),
     "deltas": _tuple_of(_number),
     "methods": _tuple_of(str),
     "n_replications": operator.index,
     "alpha": _number,
     "master_seed": operator.index,
+    "score": _one_of(SCORES),
+    "scatter": _one_of(SCATTERS),
+    "n_r": _optional(operator.index),
+    "n_s": _optional(operator.index),
 }
 
 
@@ -112,10 +139,6 @@ class SimConfig:
                 object.__setattr__(self, key, convert(value))
             except (TypeError, ValueError) as err:
                 raise InvalidSpecError(f"{key}: {err}") from None
-        if self.study not in METHODS:
-            raise InvalidSpecError(
-                f"study must be one of {sorted(METHODS)}, got {self.study!r}"
-            )
         if self.study == "two_sample" and len(self.sizes) != 2:
             raise InvalidSpecError("a two-sample study needs exactly 2 group sizes")
         if len(self.sizes) < 2 or any(v < 2 for v in self.sizes):
@@ -129,12 +152,6 @@ class SimConfig:
                 raise InvalidSpecError(
                     f"method {m!r} not available for study {self.study!r} "
                     f"(choose from {tuple(METHODS[self.study])})"
-                )
-        for key, known in (("score", SCORES), ("scatter", SCATTERS)):
-            value = getattr(self, key)
-            if value not in tuple(known):
-                raise InvalidSpecError(
-                    f"{key} must be one of {tuple(known)}, got {value!r}"
                 )
         if self.n_replications < 1:
             raise InvalidSpecError("need at least one replication")
@@ -195,54 +212,48 @@ class PowerCurve:
                 ]
             )
 
-    def frequency(self, method, delta):
+    def _row(self, method, delta):
         for row in self.rows:
             if row["method"] == method and row["delta"] == delta:
-                return row["frequency"]
+                return row
         raise KeyError((method, delta))
+
+    def frequency(self, method, delta):
+        return self._row(method, delta)["frequency"]
 
     def mc_se(self, method, delta):
-        for row in self.rows:
-            if row["method"] == method and row["delta"] == delta:
-                return row["mc_se"]
-        raise KeyError((method, delta))
+        return self._row(method, delta)["mc_se"]
 
 
-def _study_grid(config, d):
+def _replicate(config):
+    """Run every call of the study; return its statistics and p-values.
+
+    Both arrays have shape (methods, deltas, replications).
+    """
+    law = make_law(config.law)
     spec = make_spec(
-        sum(config.sizes), d, n_r=config.n_r, n_s=config.n_s, symmetrize=True
+        sum(config.sizes), law.d, n_r=config.n_r, n_s=config.n_s, symmetrize=True
     )
-    return build_grid(spec, tie_break_seed=config.master_seed)
-
-
-def _replicate(config, law, grid, collect_stats):
-    n_methods = len(config.methods)
+    grid_options = {"grid": build_grid(spec, tie_break_seed=config.master_seed)}
     calls = [METHODS[config.study][m] for m in config.methods]
-    grid_options = {"grid": grid}
-    rejections = np.zeros((n_methods, len(config.deltas)), dtype=int)
-    stats = (
-        {m: np.empty(config.n_replications) for m in config.methods}
-        if collect_stats
-        else None
-    )
+    shape = (len(calls), len(config.deltas), config.n_replications)
+    statistics, p_values = np.empty(shape), np.empty(shape)
     for rep in range(config.n_replications):
         rng = np.random.default_rng([config.master_seed, rep])
         try:
             bases = [sample(law, nk, rng) for nk in config.sizes]
             for j, delta in enumerate(config.deltas):
                 groups = bases[:-1] + [shift(bases[-1], delta)]
-                for i, (method, call) in enumerate(zip(config.methods, calls)):
+                for i, call in enumerate(calls):
                     result = call(groups, config.score, config.scatter, grid_options)
-                    if result.p_value < config.alpha:
-                        rejections[i, j] += 1
-                    if collect_stats and j == 0:
-                        stats[method][rep] = result.statistic
+                    statistics[i, j, rep] = result.statistic
+                    p_values[i, j, rep] = result.p_value
         except Exception as err:
             raise SimulationError(
                 f"replication {rep} (seed [{config.master_seed}, {rep}]) "
                 f"failed: {err}"
             ) from err
-    return rejections, stats
+    return statistics, p_values
 
 
 def run_power_study(config):
@@ -254,9 +265,8 @@ def run_power_study(config):
         One row per (method, delta) with the rejection count, frequency,
         and binomial Monte Carlo standard error.
     """
-    law = make_law(config.law)
-    grid = _study_grid(config, law.d)
-    rejections, _ = _replicate(config, law, grid, collect_stats=False)
+    _, p_values = _replicate(config)
+    rejections = (p_values < config.alpha).sum(axis=2)
     n_total = sum(config.sizes)
     big_n = config.n_replications
     rows = []
@@ -284,8 +294,5 @@ def run_null_distribution(config):
     -------
     dict mapping method name to an array of n_replications statistics.
     """
-    config = SimConfig(**{**asdict(config), "deltas": (0.0,)})
-    law = make_law(config.law)
-    grid = _study_grid(config, law.d)
-    _, stats = _replicate(config, law, grid, collect_stats=True)
-    return stats
+    statistics, _ = _replicate(replace(config, deltas=(0.0,)))
+    return {m: statistics[i, 0] for i, m in enumerate(config.methods)}

@@ -340,6 +340,17 @@ def test_grid_dump_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out == buf.getvalue()
 
 
+def test_grid_dump_odd_ns_disables_symmetrization(capsys):
+    # the same rule, and the same note, as the test subcommands
+    assert main(["grid-dump", "--n", "20", "--d", "2", "--nr", "4", "--ns", "5"]) == 0
+    captured = capsys.readouterr()
+    grid = corank.build_grid(corank.make_spec(20, 2, n_r=4, n_s=5, symmetrize=False))
+    buf = io.StringIO()
+    corank.grid_to_csv(grid, buf)
+    assert captured.out == buf.getvalue()
+    assert "disabling direction symmetrization" in captured.err
+
+
 def test_simulate_matches_library(tmp_path, capsys):
     cfg = {
         "study": "two_sample",
@@ -377,6 +388,13 @@ def test_simulate_bad_config_is_usage_error(tmp_path, capsys):
     for key, value in (("sizes", "50,50"), ("n_replications", "5"),
                        ("deltas", 0.1), ("alpha", "0.05")):
         cpath.write_text(json.dumps({key: value}))
+        assert main(["simulate", "--config", str(cpath)]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+    for key, bad in (("n_r", {"n_r": "4", "n_s": "10"}), ("law", {"law": 5}),
+                     ("study", {"study": ["x"]}),
+                     ("n_r", {"n_r": 4.0, "n_s": 10})):
+        cpath.write_text(json.dumps(bad))
         assert main(["simulate", "--config", str(cpath)]) == 1
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err

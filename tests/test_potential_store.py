@@ -218,14 +218,17 @@ def test_extreme_spreads_on_one_grid_neither_raise_nor_warn():
 
 
 def test_huge_spread_is_ranked():
-    # 2**900 squared overflows, so only the normalized cost is finite
+    # 2**900 squared overflows, so only the normalized cost is finite;
+    # the unscaled total cost reads inf without a warning
     grid = build_grid(make_spec(300, 2, symmetrize=True))
     u = np.random.default_rng(72).standard_normal((300, 2))
     want = _dense(u, grid, np.median(u, axis=0))
-    for _ in range(3):
-        with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3):
             com = empirical_map(u * 2.0 ** 900, grid)
-        assert np.array_equal(com.assignment, want)
+            assert np.array_equal(com.assignment, want)
+            assert com.total_cost == np.inf
 
 
 @pytest.mark.parametrize("n, n_equal", [(20, 11), (300, 151)])

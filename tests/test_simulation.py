@@ -12,9 +12,15 @@ from corank import (
     PowerCurve,
     SimConfig,
     SimulationError,
+    build_grid,
+    elliptical_rank_test,
+    make_law,
+    make_spec,
     run_null_distribution,
     run_power_study,
+    sample,
     simulation,
+    two_sample_test,
 )
 
 
@@ -68,6 +74,12 @@ def test_config_validation():
                        ("deltas", 0.1), ("alpha", "0.05")):
         with pytest.raises(InvalidSpecError, match=key):
             SimConfig(**{key: value})
+    # names must be strings and grid sizes integers
+    for key, bad in (("n_r", {"n_r": "4", "n_s": "10"}), ("law", {"law": 5}),
+                     ("study", {"study": ["x"]}),
+                     ("n_r", {"n_r": 4.0, "n_s": 10})):
+        with pytest.raises(InvalidSpecError, match=key):
+            SimConfig(**bad)
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -210,6 +222,29 @@ def test_null_distribution_ignores_deltas():
     assert set(a) == {"co", "elliptical"}
     for m in a:
         assert np.array_equal(a[m], b[m])
+
+
+def test_null_draws_are_the_public_calls_statistics():
+    # draw r is the statistic of the public call on replication r's
+    # unshifted bases, whatever deltas the config names
+    cfg = SimConfig(
+        study="two_sample",
+        law="gauss",
+        sizes=(16, 18),
+        deltas=(0.3, 0.6),
+        methods=("co", "elliptical"),
+        n_replications=4,
+        master_seed=29,
+    )
+    draws = run_null_distribution(cfg)
+    law = make_law(cfg.law)
+    # n_0 = 4 centre points, so the grid depends on the tie-break seed
+    grid = build_grid(make_spec(34, 2, symmetrize=True), tie_break_seed=29)
+    for r in range(4):
+        rng = np.random.default_rng([29, r])
+        x, y = (sample(law, nk, rng) for nk in cfg.sizes)
+        assert draws["co"][r] == two_sample_test(x, y, grid=grid).statistic
+        assert draws["elliptical"][r] == elliptical_rank_test([x, y]).statistic
 
 
 def test_single_replication_shape():
