@@ -16,26 +16,40 @@ bijections of ``cost``: the potential only saves time.
 The potential comes from one of two places.
 
 1. The caller.  ``center_outward.empirical_map`` passes the exact
-   column duals of an earlier sample on the same reused ``Grid``,
-   recovered once from that sample's optimal pairing by Bellman-Ford
+   column duals of an earlier sample on the same gridpoints, recovered
+   once from that sample's optimal pairing by Bellman-Ford
    (``_column_duals``).  It scales every sample to median row norm 1
    before forming the cost, so those duals live in the frame of every
-   later cost matrix on the grid.
+   later cost matrix on those gridpoints.
 2. Otherwise, a coarse subproblem, in the spirit of Schmitzer's
    multiscale transport: a seeded random ``n // 4`` by ``n // 4``
    submatrix is solved the same way, recursively, its exact column duals
    are recovered with ``_column_duals``, and they are extended to the
-   full problem.  This is the whole warm start of a one-off call, of a
-   grid's first solve and of a sample with repeated rows.
+   full problem.  This is the whole warm start of a call on new
+   gridpoints, of a sample with repeated rows, and of a call whose
+   given potential fails the guard below.
+
+A caller's potential can start the solve worse than the subproblem when
+it comes from a sample of another shape, for instance a Gaussian
+sample's duals for a sphericized heavy-tailed one.  A cheap observable
+tells the two apart: the number of row-argmin collisions (``n`` minus
+the number of distinct row minimizers) of ``cost - v`` relative to that
+of ``cost``.  A potential whose reduced matrix already spreads the row
+minima over more columns is close to the problem's own duals.  Below
+``KEEP_RATIO`` the given potential is used; otherwise the call falls
+back to the subproblem (or the cold solve below ``WARM_START_MIN_N``).
+A potential that passes costs one extra argmin pass over ``cost``: the
+reduced matrix is formed anyway, and its row minima come from its
+argmin.
 
 Timings on a 2-core x86 machine: the subproblem halves a one-off
 two-sample test at n = 1000 (median 436 ms to 214 ms) and cuts the bare
 solve 2-3.5x at n = 2000.  At n = 1000 (mix2cauchy, 3 solves, median of
 best-of-3) the SciPy finish takes 308 ms cold, 180 ms from the
 subproblem and 97 ms from the exact potential of another sample on the
-same grid; recovering that potential from zeros took 91 ms.  Below
-``WARM_START_MIN_N`` the cold dense solve runs unless the caller passes
-a potential.
+same gridpoints; recovering that potential from zeros took 91 ms.
+Below ``WARM_START_MIN_N`` the cold dense solve runs unless the caller
+passes a potential that passes the guard.
 """
 
 from __future__ import annotations
@@ -50,6 +64,11 @@ from .errors import InvalidInputError
 
 # Below this size the cold dense solve is already cheap.
 WARM_START_MIN_N = 250
+
+# A given potential is used only if it leaves fewer row-argmin
+# collisions than this share of the cost matrix's own (see the module
+# docstring; the table behind the value is in CHANGES.md).
+KEEP_RATIO = 0.90
 
 
 @dataclass(frozen=True)
@@ -142,16 +161,29 @@ def _column_potential(cost):
     return coarse.min(axis=0)
 
 
+def _collisions(columns):
+    """Rows whose minimizing column another row shares: ``n`` minus the distinct ones."""
+    return columns.shape[0] - np.unique(columns).shape[0]
+
+
+def _finish(reduced, row_min):
+    # the dense solve runs on cost - u[:, None] - v with u = min_j (cost - v)
+    reduced -= row_min[:, None]
+    return linear_sum_assignment(reduced)[1]
+
+
 def _solve(cost, potential=None):
     """Column assigned to each row of a validated square cost matrix."""
-    if potential is None:
-        if cost.shape[0] < WARM_START_MIN_N:
-            return linear_sum_assignment(cost)[1]
-        potential = _column_potential(cost)
-    # the dense solve runs on cost - u[:, None] - v with u = min_j (cost - v)
-    reduced = cost - potential
-    reduced -= reduced.min(axis=1)[:, None]
-    return linear_sum_assignment(reduced)[1]
+    if potential is not None:
+        reduced = cost - potential
+        nearest = reduced.argmin(axis=1)
+        if _collisions(nearest) < KEEP_RATIO * _collisions(cost.argmin(axis=1)):
+            return _finish(reduced, reduced[np.arange(cost.shape[0]), nearest])
+        del reduced  # freed before the subproblem path forms its own
+    if cost.shape[0] < WARM_START_MIN_N:
+        return linear_sum_assignment(cost)[1]
+    reduced = cost - _column_potential(cost)
+    return _finish(reduced, reduced.min(axis=1))
 
 
 def solve_assignment(cost, *, potential=None):
@@ -161,10 +193,11 @@ def solve_assignment(cost, *, potential=None):
     ----------
     cost : (n, n) array
     potential : (n,) array, optional
-        Column potential to warm-start the dense solve from.  Without
-        one, a coarse-subproblem potential is used from
-        ``WARM_START_MIN_N`` on.  Any finite potential gives the same
-        optimum; a poor one only costs time.
+        Column potential to warm-start the dense solve from.  It is
+        used only if it passes the collision guard (``KEEP_RATIO``);
+        otherwise, and without one, a coarse-subproblem potential is
+        used from ``WARM_START_MIN_N`` on.  Any finite potential gives
+        the same optimum; a poor one only costs time.
 
     Ties between optimal bijections are broken in an unspecified but
     deterministic way (same input and potential, same output).

@@ -11,6 +11,8 @@ any statistic built on them is a pure function of the assignment.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +20,15 @@ import numpy as np
 from .assignment import WARM_START_MIN_N, _column_duals, solve_assignment, squared_cost
 from .errors import InvalidInputError, InvalidSpecError
 from .sphere_grid import Grid, GridSpec, build_grid
+
+# Gridpoint sets whose exact potential is kept; past this many, the
+# least recently used set's store is dropped.
+STORE_SIZE = 4
+
+# (points.shape, points.tobytes()) -> that gridpoint set's store, least
+# recently used first; the lock guards reordering and eviction
+_stores = OrderedDict()
+_stores_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -102,29 +113,39 @@ def _spread(z):
     return (top, spread) if spread > 0.0 else (1.0, 1.0)
 
 
-def _solve_from_store(cost, z, grid):
-    """Assignment warm-started from the exact potential the grid keeps.
+def _store_for(points):
+    """The store kept for this gridpoint set, made if it has none."""
+    key = (points.shape, points.tobytes())
+    with _stores_lock:
+        store = _stores.get(key)
+        if store is None:
+            store = _stores[key] = {}
+            if len(_stores) > STORE_SIZE:
+                _stores.popitem(last=False)
+        else:
+            _stores.move_to_end(key)
+    return store
 
-    The grid's first such solve records its sample and assignment; the
-    next one recovers that sample's exact column duals from them, and
-    every solve from then on starts from those, so a grid used once
-    never pays for the recovery.  Every update replaces a whole entry of
-    the store, so concurrent calls on one grid can at worst repeat a
-    recovery, which costs only time.
+
+def _kept_potential(store, points):
+    """The store's exact potential, recovering a pending one first.
+
+    A gridpoint set's first solve records its sample and assignment as
+    pending; the next call recovers that sample's exact column duals
+    from them before it forms its own cost matrix, so the recovery's
+    matrices are freed before that one is made.  Every update replaces
+    a whole entry, so concurrent calls can at worst repeat a recovery,
+    which costs only time.
     """
-    store = grid._potentials
     kept = store.get("kept")
     if kept is None:
         pending = store.pop("pending", None)
-        if pending is None:
-            assignment = solve_assignment(cost).assignment
-            store["pending"] = (z, assignment)
-            return assignment
-        z_prev, assigned = pending
-        kept = _column_duals(squared_cost(z_prev, grid.points), assigned,
-                             np.zeros(grid.n))
-        store["kept"] = kept
-    return solve_assignment(cost, potential=kept).assignment
+        if pending is not None:
+            z_prev, assigned = pending
+            kept = _column_duals(squared_cost(z_prev, points), assigned,
+                                 np.zeros(points.shape[0]))
+            store["kept"] = kept
+    return kept
 
 
 def empirical_map(sample, grid, tie_break_seed=0):
@@ -138,8 +159,8 @@ def empirical_map(sample, grid, tie_break_seed=0):
         Target grid.  A GridSpec is built here (using
         ``tie_break_seed``); a prebuilt Grid is used as-is, which lets
         callers reuse one grid across many samples or supply a rotated
-        grid.  Reusing a grid also speeds up its assignments (see
-        Notes).
+        grid.  Repeated calls on equal gridpoints, reused or rebuilt,
+        speed up later assignments (see Notes).
     tie_break_seed : int
         Seed for tie-break directions when building from a GridSpec.
 
@@ -166,18 +187,24 @@ def empirical_map(sample, grid, tie_break_seed=0):
     norm is 0, which happens only when more than half the rows equal
     the median.
 
-    Every cost matrix on one grid is thus in one frame, so the exact
-    column potential of one sample is a good warm start for the next.
-    From ``assignment.WARM_START_MIN_N`` observations on, a grid's first
-    solve records its scaled sample and assignment; the next call on
-    the grid recovers that sample's exact column duals from a cost
-    matrix recomputed then, and that call and every later one start the
-    dense solve from them.  A grid used once never pays for the
-    recovery.  A sample with repeated rows has several optimal
+    Every cost matrix on one set of gridpoints is thus in one frame, so
+    the exact column potential of one sample is a good warm start for
+    the next.  The module keeps one such potential per gridpoint set,
+    keyed by the points themselves, so separately built grids with
+    equal points share it, and a call that builds its own grid from a
+    GridSpec starts warm from the third call at that size on.  It keeps
+    ``STORE_SIZE`` sets and drops the least recently used one.  From
+    ``assignment.WARM_START_MIN_N`` observations on, the first solve on
+    a gridpoint set records its scaled sample and assignment; the next
+    call recovers that sample's exact column duals, before it forms its
+    own cost matrix, and that call and every later one offer them to
+    the dense solve, which uses them only if they pass its collision
+    guard (see ``assignment``).  A gridpoint set used once never pays
+    for the recovery.  A sample with repeated rows has several optimal
     assignments, so it neither reads nor writes the store, and the one
-    returned never depends on the grid's history.  The store never
-    changes an assignment otherwise either: any potential leads to the
-    same optimum.
+    returned never depends on what ran before.  The store never changes
+    an assignment otherwise either: any potential leads to the same
+    optimum.
     """
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 2:
@@ -201,13 +228,17 @@ def empirical_map(sample, grid, tie_break_seed=0):
     z = sample - offset
     top, spread = _spread(z)
     z = z / top / spread
-    cost = squared_cost(z, grid.points)
     if n < WARM_START_MIN_N or _has_duplicate_rows(
         z, (ordered - offset) / top / spread
     ):
-        assignment = solve_assignment(cost).assignment
+        assignment = solve_assignment(squared_cost(z, grid.points)).assignment
     else:
-        assignment = _solve_from_store(cost, z, grid)
+        store = _store_for(grid.points)
+        kept = _kept_potential(store, grid.points)
+        cost = squared_cost(z, grid.points)  # formed after the recovery
+        assignment = solve_assignment(cost, potential=kept).assignment
+        if kept is None:
+            store["pending"] = (z, assignment)
     values = grid.points[assignment]
     with np.errstate(over="ignore"):  # inf once the spread passes about 1e154
         total_cost = float(((sample - values) ** 2).sum(axis=1).sum())

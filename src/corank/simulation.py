@@ -231,8 +231,11 @@ def _replicate(config):
     Both arrays have shape (methods, deltas, replications).
     """
     law = make_law(config.law)
+    # symmetrized unless an explicit n_s is odd, as on the command line
+    odd_ns = config.n_r is not None and config.n_s is not None and config.n_s % 2
     spec = make_spec(
-        sum(config.sizes), law.d, n_r=config.n_r, n_s=config.n_s, symmetrize=True
+        sum(config.sizes), law.d, n_r=config.n_r, n_s=config.n_s,
+        symmetrize=not odd_ns,
     )
     grid_options = {"grid": build_grid(spec, tie_break_seed=config.master_seed)}
     calls = [METHODS[config.study][m] for m in config.methods]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -232,12 +232,6 @@ class Grid:
     ``is_tiebreak`` marks the near-origin leftover points that carry
     rank 1/2.  Ranks and signs are always read from these integer
     fields, never recovered from floating coordinates.
-
-    A grid also keeps a private store holding one exact column
-    potential, recovered from an earlier assignment onto it of a sample
-    scaled to median row norm 1 (see ``center_outward.empirical_map``);
-    it only speeds up later assignments and is not part of equality or
-    repr.
     """
 
     points: np.ndarray
@@ -247,9 +241,6 @@ class Grid:
     directions: np.ndarray
     spec: GridSpec | None
     tie_break_seed: int = 0
-    _potentials: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def n(self):

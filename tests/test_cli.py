@@ -5,6 +5,7 @@ run the CLI in subprocesses, with PYTHONPATH set so that they import the
 same corank as this process.
 """
 
+import csv
 import io
 import json
 import os
@@ -368,6 +369,28 @@ def test_simulate_matches_library(tmp_path, capsys):
     buf = io.StringIO()
     corank.run_power_study(corank.SimConfig.from_dict(cfg)).to_csv(buf)
     assert out.read_bytes().decode() == buf.getvalue()
+
+
+def test_simulate_odd_ns_disables_symmetrization(tmp_path, capsys):
+    # the rule the test subcommands use; the study ran symmetrized before
+    cfg = {"sizes": [5, 5], "n_r": 2, "n_s": 5, "n_replications": 1,
+           "deltas": [0.0, 4.0], "score": "sign"}
+    cpath = tmp_path / "study.json"
+    cpath.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cpath)]) == 0
+    out = capsys.readouterr().out
+    buf = io.StringIO()
+    corank.run_power_study(corank.SimConfig.from_dict(cfg)).to_csv(buf)
+    assert out == buf.getvalue()
+    rng = np.random.default_rng([0, 0])
+    x, y = (corank.sample(corank.make_law("gauss"), 5, rng) for _ in range(2))
+    rejected = [
+        corank.two_sample_test(x, corank.shift(y, delta), "sign", n_r=2, n_s=5,
+                               symmetrize=False).p_value < 0.05
+        for delta in cfg["deltas"]
+    ]
+    assert [int(row["rejections"]) for row in csv.DictReader(io.StringIO(out))] \
+        == [int(r) for r in rejected] == [0, 1]
 
 
 def test_simulate_bad_config_is_usage_error(tmp_path, capsys):

@@ -1,22 +1,21 @@
-"""The exact column potentials a reused grid keeps for later assignments.
+"""The exact column potentials kept per gridpoint set for later assignments.
 
-A potential only shifts columns of the cost matrix, so whatever a grid's
-store holds, every assignment must equal SciPy's dense optimum on the
-same centred cost matrix; these tests check that, and that a one-off
-call pays nothing for the store.
+A potential only shifts columns of the cost matrix, so whatever the store
+of a gridpoint set holds, every assignment must equal SciPy's dense
+optimum on the same centred cost matrix; these tests check that, that
+the store is keyed by the gridpoints and bounded, and that the solver's
+guard turns down a potential from a sample of another shape.
 """
 
 import sys
 import threading
 import warnings
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from corank import (
-    Grid,
     InvalidInputError,
     SimConfig,
     assignment,
@@ -34,8 +33,23 @@ from corank import (
     squared_cost,
     two_sample_test,
 )
+from oracles import rotate_grid
 
 LAWS = ("gauss", "t3", "mix2cauchy")
+
+
+@pytest.fixture(autouse=True)
+def empty_store():
+    # the store is process-wide; each test starts and leaves it empty
+    center_outward._stores.clear()
+    yield
+    center_outward._stores.clear()
+
+
+def _store(grid):
+    # the store of the grid's points, without making or touching one
+    points = grid.points
+    return center_outward._stores.get((points.shape, points.tobytes()))
 
 
 def _draw(law, n, d, seed):
@@ -88,18 +102,22 @@ def test_reused_grid_matches_dense_solver(n, d):
         z[n // 2:] += 0.1 * k
         com = empirical_map(z, grid)
         assert np.array_equal(com.assignment, _dense(z, grid, com.offset))
-    assert grid._potentials["kept"] is not None
+    assert _store(grid)["kept"] is not None
 
 
-def test_any_potential_gives_the_optimum():
+def test_any_potential_gives_the_optimum(monkeypatch):
     cost = squared_cost(_draw("mix2cauchy", 400, 2, 11),
                         build_grid(make_spec(400, 2, symmetrize=True)))
     cols = linear_sum_assignment(cost)[1]
     exact = assignment._column_duals(cost, cols, np.zeros(400))
     rng = np.random.default_rng(11)
-    for v in (None, exact, np.zeros(400), rng.uniform(-1.0, 1.0, 400) * cost.max()):
-        pairing = solve_assignment(cost, potential=v)
-        assert np.array_equal(pairing.assignment, cols)
+    # with the guard, and with every potential let through to the finish
+    for keep in (assignment.KEEP_RATIO, np.inf):
+        monkeypatch.setattr(assignment, "KEEP_RATIO", keep)
+        for v in (None, exact, np.zeros(400),
+                  rng.uniform(-1.0, 1.0, 400) * cost.max()):
+            pairing = solve_assignment(cost, potential=v)
+            assert np.array_equal(pairing.assignment, cols)
     with pytest.raises(InvalidInputError, match="finite"):
         solve_assignment(cost, potential=np.full(400, np.nan))
     with pytest.raises(InvalidInputError, match="finite"):
@@ -114,15 +132,15 @@ def test_poisoned_store_still_gives_the_optimum():
     rng = np.random.default_rng(12)
     z = _draw("mix2cauchy", n, 2, 13)
     big = squared_cost(z, grid).max()
-    grid._potentials["kept"] = rng.uniform(-1.0, 1.0, n) * big
+    center_outward._store_for(grid.points)["kept"] = rng.uniform(-1.0, 1.0, n) * big
     com = empirical_map(z, grid)
     assert np.array_equal(com.assignment, _dense(z, grid, com.offset))
 
-    grid = build_grid(make_spec(n, 2, symmetrize=True))
+    center_outward._stores.clear()
     for k in range(3):
         w = _draw("mix2cauchy", n, 2, [14, k])
         empirical_map(sphericize(w, sample_covariance(w), root="cholesky"), grid)
-    assert grid._potentials["kept"] is not None
+    assert _store(grid)["kept"] is not None
     for k in range(3):
         w = _draw("mix2cauchy", n, 2, [15, k])
         com = empirical_map(w, grid)
@@ -141,11 +159,12 @@ def test_study_does_not_depend_on_replication_order():
         x, y = sample(law, 150, rng), sample(law, 150, rng)
         for j, delta in enumerate(config.deltas):
             backward[j] += two_sample_test(x, shift(y, delta), grid=grid).p_value < 0.05
-    assert grid._potentials["kept"] is not None
+    assert _store(grid)["kept"] is not None
     assert forward == backward.tolist()
 
 
-def test_one_off_calls_pay_for_no_scoring_or_recovery(monkeypatch):
+def _count_calls(monkeypatch):
+    # spies on the subproblem and on the store's recovery
     counts = {"subproblem": 0, "recover": 0}
 
     def spy(key, fn):
@@ -158,18 +177,43 @@ def test_one_off_calls_pay_for_no_scoring_or_recovery(monkeypatch):
                         spy("subproblem", assignment._column_potential))
     monkeypatch.setattr(center_outward, "_column_duals",
                         spy("recover", center_outward._column_duals))
+    return counts
+
+
+def test_default_calls_at_one_size_recover_once(monkeypatch):
+    counts = _count_calls(monkeypatch)
     law = make_law("mix2cauchy")
     rng = np.random.default_rng(31)
     groups = [sample(law, 200, rng) for _ in range(4)]
     for x, y in (groups[:2], groups[2:]):
         two_sample_test(x, y)  # builds its own grid
-    assert counts == {"subproblem": 2, "recover": 0}
-    # a reused grid recovers one exact potential, at its second call,
-    # and no later solve on it runs the subproblem
+    # the first call runs the subproblem, the second recovers its duals
+    assert counts == {"subproblem": 1, "recover": 1}
+    # a grid built separately on the same points solves from them at once
     grid = build_grid(make_spec(400, 2, symmetrize=True))
     for x, y in (groups[:2], groups[2:]) * 2:
         two_sample_test(x, y, grid=grid)
-    assert counts == {"subproblem": 3, "recover": 1}
+    assert counts == {"subproblem": 1, "recover": 1}
+
+
+def test_guard_turns_down_a_potential_of_another_shape(monkeypatch):
+    n = 400
+    grid = build_grid(make_spec(n, 2, symmetrize=True))
+    for k in range(2):
+        empirical_map(_draw("gauss", n, 2, [81, k]), grid)
+    kept = _store(grid)["kept"]
+    counts = _count_calls(monkeypatch)
+    w = _draw("mix2cauchy", n, 2, 82)
+    w = sphericize(w, sample_covariance(w), root="cholesky")
+    com = empirical_map(w, grid)
+    assert np.array_equal(com.assignment, _dense(w, grid, com.offset))
+    assert counts == {"subproblem": 1, "recover": 0}
+    # a rejection leaves the store as it was
+    assert _store(grid)["kept"] is kept and "pending" not in _store(grid)
+    z = _draw("gauss", n, 2, 83)
+    com = empirical_map(z, grid)
+    assert np.array_equal(com.assignment, _dense(z, grid, com.offset))
+    assert counts == {"subproblem": 1, "recover": 0}
 
 
 def test_duplicated_rows_never_meet_the_store():
@@ -182,23 +226,41 @@ def test_duplicated_rows_never_meet_the_store():
     law = make_law("t3")
     for _ in range(3):
         two_sample_test(sample(law, 150, rng), sample(law, 150, rng), grid=grid)
-    store = dict(grid._potentials)
+    store = dict(_store(grid))
     assert store["kept"] is not None
     again = two_sample_test(x, y, grid=grid)
     assert again.statistic == fresh.statistic
     assert again.p_value == fresh.p_value
-    assert grid._potentials.keys() == store.keys()
-    assert all(grid._potentials[key] is store[key] for key in store)
+    assert _store(grid).keys() == store.keys()
+    assert all(_store(grid)[key] is store[key] for key in store)
 
 
-def test_store_is_private_to_each_grid():
-    (field,) = [f for f in fields(Grid) if f.name == "_potentials"]
-    assert not (field.init or field.repr or field.compare)
+def test_grids_with_equal_points_share_one_store():
     grid = build_grid(make_spec(300, 2, symmetrize=True))
     empirical_map(_draw("gauss", 300, 2, 51), grid)
-    assert grid._potentials["pending"]
-    assert build_grid(grid.spec)._potentials == {}
-    assert replace(grid, tie_break_seed=1)._potentials == {}
+    assert _store(grid)["pending"]
+    assert _store(build_grid(grid.spec)) is _store(grid)
+    # other points, rotated or with other tie-break points, have none yet
+    c, s = np.cos(0.1), np.sin(0.1)
+    assert _store(rotate_grid(grid, [[c, -s], [s, c]])) is None
+    other = build_grid(grid.spec, tie_break_seed=1)
+    assert not np.array_equal(other.points, grid.points)
+    assert _store(other) is None
+    empirical_map(_draw("gauss", 300, 2, 52), other)
+    assert _store(other) is not _store(grid)
+
+
+def test_the_least_recently_used_store_is_dropped():
+    size = center_outward.STORE_SIZE
+    grids = [build_grid(make_spec(250 + k, 2, symmetrize=True))
+             for k in range(size + 1)]
+    for k, grid in enumerate(grids[:size]):
+        empirical_map(_draw("gauss", grid.n, 2, [53, k]), grid)
+    empirical_map(_draw("gauss", grids[0].n, 2, 54), grids[0])  # now the newest
+    empirical_map(_draw("gauss", grids[size].n, 2, 55), grids[size])
+    assert len(center_outward._stores) == size
+    assert _store(grids[1]) is None
+    assert all(_store(grid) is not None for grid in grids[:1] + grids[2:])
 
 
 def test_extreme_spreads_on_one_grid_neither_raise_nor_warn():
@@ -250,32 +312,80 @@ def test_zero_median_row_norm_is_not_divided_by(n, n_equal):
     assert np.isfinite(two_sample_test(x, y, grid=grid).statistic)
 
 
+def _run_threads(jobs):
+    # runs the jobs with frequent switches; returns what they raised
+    errors = []
+
+    def run(job):
+        try:
+            job()
+        except Exception as err:  # a raise is a failure, reported below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(job,)) for job in jobs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return errors
+
+
 def test_threads_sharing_a_grid_get_the_optimum():
-    # the store is not locked: concurrent calls may lose a potential,
-    # never an optimum, and never raise
+    # concurrent calls may repeat a recovery, never lose an optimum,
+    # and never raise
     n = 300
     grid = build_grid(make_spec(n, 2, symmetrize=True))
     samples = [_draw(law, n, 2, [61, k]) for k, law in enumerate(LAWS * 4)]
     want = [_dense(z, grid, np.median(z, axis=0)) for z in samples]
     got = [None] * len(samples)
 
-    def work(k):
-        got[k] = empirical_map(samples[k], grid).assignment
+    def work(j):
+        for k in range(j, len(samples), 4):
+            got[k] = empirical_map(samples[k], grid).assignment
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [
-            threading.Thread(target=lambda j=j: [work(k) for k in range(j, len(samples), 4)])
-            for j in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    assert _run_threads([lambda j=j: work(j) for j in range(4)]) == []
     for k in range(len(samples)):
         assert np.array_equal(got[k], want[k])
-    assert grid._potentials["kept"] is not None
+    assert _store(grid)["kept"] is not None
+
+
+def test_threads_building_their_own_grids_get_the_optimum():
+    # each call builds its grid from a spec; more sizes than the store
+    # keeps, so stores are dropped while other threads use them
+    sizes = [250 + k for k in range(center_outward.STORE_SIZE + 2)]
+    calls = [(n, _draw(law, n, 2, [62, n, k]))
+             for k, law in enumerate(LAWS) for n in sizes]
+    want = [_dense(z, build_grid(make_spec(n, 2, symmetrize=True)),
+                   np.median(z, axis=0)) for n, z in calls]
+    got = [None] * len(calls)
+
+    def work(j):
+        for k in range(j, len(calls), 4):
+            n, z = calls[k]
+            got[k] = empirical_map(z, make_spec(n, 2, symmetrize=True)).assignment
+
+    assert _run_threads([lambda j=j: work(j) for j in range(4)]) == []
+    for k in range(len(calls)):
+        assert np.array_equal(got[k], want[k])
+    assert len(center_outward._stores) == center_outward.STORE_SIZE
+
+
+def test_store_lookups_survive_concurrent_evictions():
+    # one more gridpoint set than the store keeps, so nearly every lookup
+    # evicts; without the lock a set found present can be evicted before
+    # it is moved to the end, and the move raises KeyError
+    size = center_outward.STORE_SIZE
+    points = [np.full((3, 2), float(k)) for k in range(size + 1)]
+
+    def work(j):
+        for i in range(10_000):
+            center_outward._store_for(points[(i + j) % len(points)])
+
+    assert _run_threads([lambda j=j: work(j) for j in range(8)]) == []
+    assert len(center_outward._stores) == size

@@ -247,6 +247,16 @@ def test_null_draws_are_the_public_calls_statistics():
         assert draws["elliptical"][r] == elliptical_rank_test([x, y]).statistic
 
 
+def test_odd_explicit_n_s_turns_symmetrization_off():
+    # the rule the command line's test subcommands use
+    cfg = SimConfig(sizes=(5, 5), n_r=2, n_s=5, n_replications=1)
+    draws = run_null_distribution(cfg)
+    rng = np.random.default_rng([cfg.master_seed, 0])
+    x, y = (sample(make_law(cfg.law), nk, rng) for nk in cfg.sizes)
+    want = two_sample_test(x, y, n_r=2, n_s=5, symmetrize=False)
+    assert draws["co"][0] == want.statistic
+
+
 def test_single_replication_shape():
     cfg = small_config(n_replications=1, deltas=(0.0,), methods=("co",))
     stats = run_null_distribution(cfg)
