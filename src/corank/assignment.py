@@ -38,6 +38,7 @@ of ``cost``.  A potential whose reduced matrix already spreads the row
 minima over more columns is close to the problem's own duals.  Below
 ``KEEP_RATIO`` the given potential is used; otherwise the call falls
 back to the subproblem (or the cold solve below ``WARM_START_MIN_N``).
+``Pairing.used_potential`` tells the caller which happened.
 A potential that passes costs one extra argmin pass over ``cost``: the
 reduced matrix is formed anyway, and its row minima come from its
 argmin.
@@ -76,11 +77,13 @@ class Pairing:
     """An observation-to-gridpoint bijection and its total cost.
 
     ``assignment[i]`` is the index of the gridpoint paired with
-    observation ``i``.
+    observation ``i``.  ``used_potential`` says whether a given column
+    potential started the solve, that is, whether it passed the guard.
     """
 
     assignment: np.ndarray
     total_cost: float
+    used_potential: bool = False
 
 
 def squared_cost(sample, grid):
@@ -154,7 +157,7 @@ def _column_potential(cost):
     rows = rng.choice(n, size=m, replace=False)
     cols = rng.choice(n, size=m, replace=False)
     sub = cost[np.ix_(rows, cols)]
-    assigned = _solve(sub)
+    assigned = _solve(sub)[0]
     v_sub = _column_duals(sub, assigned, np.zeros(m))
     coarse = cost[rows]
     coarse -= (sub[np.arange(m), assigned] - v_sub[assigned])[:, None]
@@ -173,17 +176,21 @@ def _finish(reduced, row_min):
 
 
 def _solve(cost, potential=None):
-    """Column assigned to each row of a validated square cost matrix."""
+    """Columns assigned to the rows of a validated square cost matrix.
+
+    Also returns whether ``potential`` passed the guard and started the
+    solve.
+    """
     if potential is not None:
         reduced = cost - potential
         nearest = reduced.argmin(axis=1)
         if _collisions(nearest) < KEEP_RATIO * _collisions(cost.argmin(axis=1)):
-            return _finish(reduced, reduced[np.arange(cost.shape[0]), nearest])
+            return _finish(reduced, reduced[np.arange(cost.shape[0]), nearest]), True
         del reduced  # freed before the subproblem path forms its own
     if cost.shape[0] < WARM_START_MIN_N:
-        return linear_sum_assignment(cost)[1]
+        return linear_sum_assignment(cost)[1], False
     reduced = cost - _column_potential(cost)
-    return _finish(reduced, reduced.min(axis=1))
+    return _finish(reduced, reduced.min(axis=1)), False
 
 
 def solve_assignment(cost, *, potential=None):
@@ -212,6 +219,6 @@ def solve_assignment(cost, *, potential=None):
         np.shape(potential) != (n,) or not np.isfinite(potential).all()
     ):
         raise InvalidInputError(f"a potential must be {n} finite numbers")
-    assignment = _solve(cost, potential)
+    assignment, used = _solve(cost, potential)
     total = float(cost[np.arange(n), assignment].sum())
-    return Pairing(assignment=assignment, total_cost=total)
+    return Pairing(assignment=assignment, total_cost=total, used_potential=used)

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .scores import SCORES
 from .simulation import METHODS, SimConfig, run_power_study
-from .sphere_grid import build_grid, grid_to_csv, make_spec
+from .sphere_grid import build_grid, grid_to_csv, make_spec, symmetrizes
 
 MIN_ROWS = 4
 DEFAULT_SEED = 0
@@ -138,11 +138,10 @@ def _csv_list(text):
 
 
 def _grid_kwargs(args):
-    odd_ns = args.nr is not None and args.ns is not None and args.ns % 2
     return {
         "n_r": args.nr,
         "n_s": args.ns,
-        "symmetrize": not (args.no_symmetrize or odd_ns),
+        "symmetrize": not args.no_symmetrize and symmetrizes(args.nr, args.ns),
         "tie_break_seed": args.seed,
     }
 

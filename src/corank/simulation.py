@@ -34,7 +34,7 @@ from .distributions import make_law, sample, shift
 from .errors import InvalidSpecError, SimulationError
 from .rank_tests import manova_test, two_sample_test
 from .scores import SCORES
-from .sphere_grid import build_grid, make_spec
+from .sphere_grid import build_grid, make_spec, symmetrizes
 
 
 def _sphericized(g, score, scatter, opts):
@@ -231,11 +231,9 @@ def _replicate(config):
     Both arrays have shape (methods, deltas, replications).
     """
     law = make_law(config.law)
-    # symmetrized unless an explicit n_s is odd, as on the command line
-    odd_ns = config.n_r is not None and config.n_s is not None and config.n_s % 2
     spec = make_spec(
         sum(config.sizes), law.d, n_r=config.n_r, n_s=config.n_s,
-        symmetrize=not odd_ns,
+        symmetrize=symmetrizes(config.n_r, config.n_s),
     )
     grid_options = {"grid": build_grid(spec, tie_break_seed=config.master_seed)}
     calls = [METHODS[config.study][m] for m in config.methods]

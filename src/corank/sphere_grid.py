@@ -153,6 +153,15 @@ def factorize(n, n_r=None, n_s=None, even_n_s=False):
     return best[1]
 
 
+def symmetrizes(n_r=None, n_s=None):
+    """Whether a grid symmetrizes its directions unless told not to.
+
+    It does, except when both counts are explicit and ``n_s`` is odd:
+    an odd number of directions cannot come in opposite pairs.
+    """
+    return not (n_r is not None and n_s is not None and n_s % 2)
+
+
 def make_spec(n, d, n_r=None, n_s=None, symmetrize=False):
     """Factorize ``n`` (balanced unless explicit) and return a GridSpec."""
     n_r, n_s, n_0 = factorize(n, n_r=n_r, n_s=n_s, even_n_s=symmetrize and n_r is None)

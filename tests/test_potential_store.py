@@ -118,6 +118,8 @@ def test_any_potential_gives_the_optimum(monkeypatch):
                   rng.uniform(-1.0, 1.0, 400) * cost.max()):
             pairing = solve_assignment(cost, potential=v)
             assert np.array_equal(pairing.assignment, cols)
+            if keep == np.inf:
+                assert pairing.used_potential == (v is not None)
     with pytest.raises(InvalidInputError, match="finite"):
         solve_assignment(cost, potential=np.full(400, np.nan))
     with pytest.raises(InvalidInputError, match="finite"):
@@ -208,12 +210,71 @@ def test_guard_turns_down_a_potential_of_another_shape(monkeypatch):
     com = empirical_map(w, grid)
     assert np.array_equal(com.assignment, _dense(w, grid, com.offset))
     assert counts == {"subproblem": 1, "recover": 0}
-    # a rejection leaves the store as it was
+    # one rejection leaves the kept potential in place
     assert _store(grid)["kept"] is kept and "pending" not in _store(grid)
     z = _draw("gauss", n, 2, 83)
     com = empirical_map(z, grid)
     assert np.array_equal(com.assignment, _dense(z, grid, com.offset))
     assert counts == {"subproblem": 1, "recover": 0}
+
+
+def test_a_run_of_turned_down_calls_replaces_the_potential(monkeypatch):
+    n = 400
+    grid = build_grid(make_spec(n, 2, symmetrize=True))
+    for k in range(2):
+        empirical_map(_draw("gauss", n, 2, [84, k]), grid)
+    kept = _store(grid)["kept"]
+    counts = _count_calls(monkeypatch)
+    samples = []
+    for k in range(center_outward.REFRESH_AFTER):
+        w = _draw("mix2cauchy", n, 2, [85, k])
+        samples.append(sphericize(w, sample_covariance(w), root="cholesky"))
+    for w in samples:
+        # the kept potential is still offered until the run is complete
+        assert _store(grid)["kept"] is kept
+        com = empirical_map(w, grid)
+        assert np.array_equal(com.assignment, _dense(w, grid, com.offset))
+    assert counts == {"subproblem": center_outward.REFRESH_AFTER, "recover": 0}
+    # the last turned-down sample waits to be recovered in its place
+    assert "kept" not in _store(grid)
+    assert _store(grid)["pending"][1] is com.assignment
+    w = _draw("mix2cauchy", n, 2, 88)
+    w = sphericize(w, sample_covariance(w), root="cholesky")
+    com = empirical_map(w, grid)
+    assert np.array_equal(com.assignment, _dense(w, grid, com.offset))
+    assert counts["recover"] == 1
+    assert _store(grid)["kept"] is not kept
+
+
+def test_a_passing_call_ends_the_run(monkeypatch):
+    n = 400
+    grid = build_grid(make_spec(n, 2, symmetrize=True))
+    for k in range(2):
+        empirical_map(_draw("gauss", n, 2, [86, k]), grid)
+    kept = _store(grid)["kept"]
+    used = []
+    solve = center_outward.solve_assignment
+
+    def spy(cost, potential=None):
+        pairing = solve(cost, potential=potential)
+        used.append(pairing.used_potential)
+        return pairing
+
+    monkeypatch.setattr(center_outward, "solve_assignment", spy)
+    # Gaussian samples pass; each run of turned-down sphericized ones
+    # stops one call short of a refresh
+    passing = [k % center_outward.REFRESH_AFTER == 0
+               for k in range(2 * center_outward.REFRESH_AFTER)]
+    for k, passes in enumerate(passing):
+        if passes:
+            w = _draw("gauss", n, 2, [87, k])
+        else:
+            w = _draw("mix2cauchy", n, 2, [87, k])
+            w = sphericize(w, sample_covariance(w), root="cholesky")
+        com = empirical_map(w, grid)
+        assert np.array_equal(com.assignment, _dense(w, grid, com.offset))
+    assert used == passing
+    assert _store(grid)["kept"] is kept
 
 
 def test_duplicated_rows_never_meet_the_store():
@@ -352,7 +413,10 @@ def test_threads_sharing_a_grid_get_the_optimum():
     assert _run_threads([lambda j=j: work(j) for j in range(4)]) == []
     for k in range(len(samples)):
         assert np.array_equal(got[k], want[k])
-    assert _store(grid)["kept"] is not None
+    # the calls used the store; depending on their order, the last of
+    # them may have ended a run of turned-down calls, which leaves a
+    # pending sample in place of the kept potential
+    assert {"kept", "pending"} & _store(grid).keys()
 
 
 def test_threads_building_their_own_grids_get_the_optimum():
