@@ -16,11 +16,11 @@ bijections of ``cost``: the potential only saves time.
 The potential comes from one of two places.
 
 1. The caller.  ``center_outward.empirical_map`` passes the exact
-   column duals of an earlier sample on the same gridpoints, recovered
-   once from that sample's optimal pairing by Bellman-Ford
-   (``_column_duals``).  It scales every sample to median row norm 1
-   before forming the cost, so those duals live in the frame of every
-   later cost matrix on those gridpoints.
+   column duals of the first sample solved on the same gridpoints,
+   recovered once from that sample's optimal pairing by Bellman-Ford
+   (``_column_duals``) and kept for every later call.  It scales every
+   sample to median row norm 1 before forming the cost, so those duals
+   live in the frame of every later cost matrix on those gridpoints.
 2. Otherwise, a coarse subproblem, in the spirit of Schmitzer's
    multiscale transport: a seeded random ``n // 4`` by ``n // 4``
    submatrix is solved the same way, recursively, its exact column duals
@@ -38,10 +38,10 @@ of ``cost``.  A potential whose reduced matrix already spreads the row
 minima over more columns is close to the problem's own duals.  Below
 ``KEEP_RATIO`` the given potential is used; otherwise the call falls
 back to the subproblem (or the cold solve below ``WARM_START_MIN_N``).
-``Pairing.used_potential`` tells the caller which happened.
 A potential that passes costs one extra argmin pass over ``cost``: the
 reduced matrix is formed anyway, and its row minima come from its
-argmin.
+argmin.  One that fails costs that matrix and both argmin passes on
+top of the subproblem path; the caller keeps offering it all the same.
 
 Timings on a 2-core x86 machine: the subproblem halves a one-off
 two-sample test at n = 1000 (median 436 ms to 214 ms) and cuts the bare
@@ -77,13 +77,11 @@ class Pairing:
     """An observation-to-gridpoint bijection and its total cost.
 
     ``assignment[i]`` is the index of the gridpoint paired with
-    observation ``i``.  ``used_potential`` says whether a given column
-    potential started the solve, that is, whether it passed the guard.
+    observation ``i``.
     """
 
     assignment: np.ndarray
     total_cost: float
-    used_potential: bool = False
 
 
 def squared_cost(sample, grid):
@@ -157,7 +155,7 @@ def _column_potential(cost):
     rows = rng.choice(n, size=m, replace=False)
     cols = rng.choice(n, size=m, replace=False)
     sub = cost[np.ix_(rows, cols)]
-    assigned = _solve(sub)[0]
+    assigned = _solve(sub)
     v_sub = _column_duals(sub, assigned, np.zeros(m))
     coarse = cost[rows]
     coarse -= (sub[np.arange(m), assigned] - v_sub[assigned])[:, None]
@@ -176,21 +174,17 @@ def _finish(reduced, row_min):
 
 
 def _solve(cost, potential=None):
-    """Columns assigned to the rows of a validated square cost matrix.
-
-    Also returns whether ``potential`` passed the guard and started the
-    solve.
-    """
+    """Columns assigned to the rows of a validated square cost matrix."""
     if potential is not None:
         reduced = cost - potential
         nearest = reduced.argmin(axis=1)
         if _collisions(nearest) < KEEP_RATIO * _collisions(cost.argmin(axis=1)):
-            return _finish(reduced, reduced[np.arange(cost.shape[0]), nearest]), True
+            return _finish(reduced, reduced[np.arange(cost.shape[0]), nearest])
         del reduced  # freed before the subproblem path forms its own
     if cost.shape[0] < WARM_START_MIN_N:
-        return linear_sum_assignment(cost)[1], False
+        return linear_sum_assignment(cost)[1]
     reduced = cost - _column_potential(cost)
-    return _finish(reduced, reduced.min(axis=1)), False
+    return _finish(reduced, reduced.min(axis=1))
 
 
 def solve_assignment(cost, *, potential=None):
@@ -219,6 +213,6 @@ def solve_assignment(cost, *, potential=None):
         np.shape(potential) != (n,) or not np.isfinite(potential).all()
     ):
         raise InvalidInputError(f"a potential must be {n} finite numbers")
-    assignment, used = _solve(cost, potential)
+    assignment = _solve(cost, potential)
     total = float(cost[np.arange(n), assignment].sum())
-    return Pairing(assignment=assignment, total_cost=total, used_potential=used)
+    return Pairing(assignment=assignment, total_cost=total)

@@ -25,10 +25,6 @@ from .sphere_grid import Grid, GridSpec, build_grid
 # least recently used set's store is dropped.
 STORE_SIZE = 4
 
-# After this many calls in a row turn a set's kept potential down, the
-# latest sample's duals replace it (recovered by the next call).
-REFRESH_AFTER = 3
-
 # (points.shape, points.tobytes()) -> that gridpoint set's store, least
 # recently used first; the lock guards reordering and eviction
 _stores = OrderedDict()
@@ -152,26 +148,6 @@ def _kept_potential(store, points):
     return kept
 
 
-def _record(store, kept, z, pairing):
-    """Note a solve in the store.
-
-    The first sample on a gridpoint set waits to be recovered.  Once
-    ``REFRESH_AFTER`` calls in a row have turned the kept potential
-    down, the latest sample waits in its place, so a process that
-    switches to data of another shape starts warm again.  Concurrent
-    calls can at worst refresh a call early or late.
-    """
-    if kept is None:
-        store["pending"] = (z, pairing.assignment)
-        return
-    misses = 0 if pairing.used_potential else store.get("misses", 0) + 1
-    if misses >= REFRESH_AFTER:
-        store["pending"] = (z, pairing.assignment)
-        store.pop("kept", None)
-        misses = 0
-    store["misses"] = misses
-
-
 def empirical_map(sample, grid, tie_break_seed=0):
     """Compute the empirical center-outward map of a sample.
 
@@ -223,14 +199,14 @@ def empirical_map(sample, grid, tie_break_seed=0):
     call recovers that sample's exact column duals, before it forms its
     own cost matrix, and that call and every later one offer them to
     the dense solve, which uses them only if they pass its collision
-    guard (see ``assignment``).  After ``REFRESH_AFTER`` calls in a row
-    that the guard turned the potential down for, the latest sample
-    takes the place of the first and is recovered by the next call.  A
-    gridpoint set used once never pays for the recovery.  A sample with repeated rows has several optimal
-    assignments, so it neither reads nor writes the store, and the one
-    returned never depends on what ran before.  The store never changes
-    an assignment otherwise either: any potential leads to the same
-    optimum.
+    guard (see ``assignment``).  The potential is kept until its set's
+    store is dropped; a call that the guard turns it down for runs the
+    subproblem and leaves the store as it was.  A gridpoint set used
+    once never pays for the recovery.  A sample with repeated rows has
+    several optimal assignments, so it neither reads nor writes the
+    store, and the one returned never depends on what ran before.  The
+    store never changes an assignment otherwise either: any potential
+    leads to the same optimum.
     """
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 2:
@@ -262,9 +238,9 @@ def empirical_map(sample, grid, tie_break_seed=0):
         store = _store_for(grid.points)
         kept = _kept_potential(store, grid.points)
         cost = squared_cost(z, grid.points)  # formed after the recovery
-        pairing = solve_assignment(cost, potential=kept)
-        assignment = pairing.assignment
-        _record(store, kept, z, pairing)
+        assignment = solve_assignment(cost, potential=kept).assignment
+        if kept is None:
+            store["pending"] = (z, assignment)
     values = grid.points[assignment]
     with np.errstate(over="ignore"):  # inf once the spread passes about 1e154
         total_cost = float(((sample - values) ** 2).sum(axis=1).sum())

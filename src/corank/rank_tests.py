@@ -87,6 +87,7 @@ class TestResult:
             "statistic": self.statistic,
             "dof": dof,
             "p_value": self.p_value,
+            "null_dist": self.null_dist,
             "n": self.n,
             "d": self.d,
             "n_R": gs.n_r if gs else None,

@@ -86,6 +86,18 @@ def test_method_plumbing(two_files, capsys):
         assert json.loads(capsys.readouterr().out)["method"] == label
 
 
+def test_json_names_the_null_law(two_files, capsys):
+    # hotelling's p-value comes from an F law with dof [d, n - 1 - d]
+    for method, law, dof in [("hotelling", "f", [2, 23]), ("co", "chi2", 2)]:
+        code = main(
+            ["two-sample", "--input", *two_files, "--method", method, "--json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["null_dist"] == law
+        assert payload["dof"] == dof
+
+
 def test_two_sample_matches_library(two_files, capsys):
     assert main(["two-sample", "--input", *two_files, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

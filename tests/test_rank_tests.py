@@ -8,10 +8,12 @@ import corank
 from corank import (
     DegenerateDesignError,
     InvalidInputError,
+    VectorScore,
     build_grid,
     chi_sq_quantile,
     chi_sq_sf,
     empirical_map,
+    estimate_score_cov,
     get_score,
     lambda_tilde,
     make_spec,
@@ -161,6 +163,41 @@ def test_q_general_reduces_to_q_spherical():
         gen = q_general(lam, score.score_cov(2), 100)
         sph = q_spherical(lam, score, 2, 100)
         assert gen == pytest.approx(sph, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_vector_score_runs_through_the_tests(d):
+    # the identity on ball points is the wilcoxon vector score r s, whose
+    # covariance integral is I / (3 d), so both paths give one statistic
+    rng = np.random.default_rng(40 + d)
+    x, y = rng.standard_normal((30, d)), rng.standard_normal((34, d)) + 0.3
+    c = rng.standard_normal((64, 2))
+    identity = VectorScore(lambda p: p, np.eye(d) / (3 * d))
+    for vector, spherical in [
+        (two_sample_test(x, y, score=identity), two_sample_test(x, y)),
+        (regression_test(np.vstack([x, y]), c, score=identity),
+         regression_test(np.vstack([x, y]), c)),
+    ]:
+        assert vector.statistic == pytest.approx(spherical.statistic, rel=1e-12)
+        assert vector.p_value == pytest.approx(spherical.p_value, rel=1e-12)
+        assert vector.dof == spherical.dof
+
+
+def test_vector_score_estimates_its_covariance_on_the_grid():
+    # without a covariance, the test estimates it over the grid it uses
+    rng = np.random.default_rng(44)
+    y, c = rng.standard_normal((60, 3)), rng.standard_normal((60, 2))
+    grid = build_grid(make_spec(60, 3, symmetrize=True))
+
+    def cube(p):
+        return p ** 3
+
+    score = VectorScore(cube)
+    res = regression_test(y, c, score=score, grid=grid)
+    lam = lambda_tilde(standardize_design(c), ranks_signs(empirical_map(y, grid)), score)
+    want = q_general(lam, estimate_score_cov(cube, grid), 60)
+    assert res.statistic == pytest.approx(want, rel=1e-12)
+    assert res.score == "vector"
 
 
 def test_q_general_scalar_case():
@@ -390,7 +427,8 @@ def test_result_p_value_consistency():
     res = two_sample_test(rng.standard_normal((10, 2)), rng.standard_normal((10, 2)))
     assert res.p_value == pytest.approx(float(chi_sq_sf(res.dof, res.statistic)), abs=1e-15)
     payload = res.to_dict()
-    for key in ("method", "statistic", "dof", "p_value", "n", "d", "n_R", "n_S", "n_0", "score", "seed"):
+    for key in ("method", "statistic", "dof", "p_value", "null_dist", "n", "d",
+                "n_R", "n_S", "n_0", "score", "seed"):
         assert payload[key] is not None
 
 
