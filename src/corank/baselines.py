@@ -109,21 +109,6 @@ def tyler_scatter(z, location=None):
 SCATTERS = {"sample": sample_covariance, "tyler": tyler_scatter}
 
 
-def _inverse_root(matrix, root):
-    if root == "cholesky":
-        try:
-            low = np.linalg.cholesky(matrix)
-        except np.linalg.LinAlgError as err:
-            raise DegenerateInputError(f"scatter matrix not positive definite: {err}") from err
-        return low, None
-    w, u = np.linalg.eigh(matrix)
-    if w[0] < 1e-10 * max(w[-1], 1e-300) or w[-1] <= 0:
-        raise DegenerateInputError(
-            f"scatter matrix is numerically singular (eigenvalues {w})"
-        )
-    return None, (u / np.sqrt(w)) @ u.T
-
-
 def sphericize(z, scatter, root="symmetric"):
     """Standardize a sample by a scatter estimate.
 
@@ -134,10 +119,19 @@ def sphericize(z, scatter, root="symmetric"):
     if root not in ("symmetric", "cholesky"):
         raise InvalidInputError(f"unknown root {root!r}")
     diffs = z - scatter.location
-    low, sym = _inverse_root(np.asarray(scatter.matrix, dtype=float), root)
+    matrix = np.asarray(scatter.matrix, dtype=float)
     if root == "cholesky":
+        try:
+            low = np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError as err:
+            raise DegenerateInputError(f"scatter matrix not positive definite: {err}") from err
         return solve_triangular(low, diffs.T, lower=True).T
-    return diffs @ sym
+    w, u = np.linalg.eigh(matrix)
+    if w[0] < 1e-10 * max(w[-1], 1e-300) or w[-1] <= 0:
+        raise DegenerateInputError(
+            f"scatter matrix is numerically singular (eigenvalues {w})"
+        )
+    return diffs @ ((u / np.sqrt(w)) @ u.T)
 
 
 def elliptical_ranks_signs(z_ell):
@@ -181,15 +175,13 @@ def elliptical_rank_test(samples, score="wilcoxon"):
 
 
 def sphericized_center_outward_test(samples, score="wilcoxon", scatter="sample", *,
-                                    n_r=None, n_s=None, symmetrize=True,
-                                    tie_break_seed=0, grid=None):
+                                    grid=None):
     """Center-outward K-group test on standardized data.
 
     The pooled sample is sphericized (Cholesky root; ``scatter`` is
     "sample" or "tyler") and the usual center-outward test runs on the
     result.  Trades some distribution-freeness for affine invariance.
-    The grid options, and ``grid`` (a prebuilt Grid for the pooled
-    sample that overrides them), mean what they mean in
+    ``grid`` means what it means in
     :func:`~corank.rank_tests.two_sample_test`.
     """
     samples = validate_groups(samples)
@@ -200,14 +192,10 @@ def sphericized_center_outward_test(samples, score="wilcoxon", scatter="sample",
         )
     z = sphericize(pooled, SCATTERS[scatter](pooled), root="cholesky")
     sizes = np.cumsum([s.shape[0] for s in samples])[:-1]
-    groups = np.split(z, sizes)
     method = (
         "co-sphericized-two-sample" if len(samples) == 2 else "co-sphericized-manova"
     )
-    result = manova_test(
-        groups, score, n_r=n_r, n_s=n_s, symmetrize=symmetrize,
-        tie_break_seed=tie_break_seed, grid=grid,
-    )
+    result = manova_test(np.split(z, sizes), score, grid=grid)
     return replace(result, method=method)
 
 

@@ -137,13 +137,10 @@ def _csv_list(text):
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _grid_kwargs(args):
-    return {
-        "n_r": args.nr,
-        "n_s": args.ns,
-        "symmetrize": not args.no_symmetrize and symmetrizes(args.nr, args.ns),
-        "tie_break_seed": args.seed,
-    }
+def _grid(args, n, d):
+    symmetrize = not args.no_symmetrize and symmetrizes(args.nr, args.ns)
+    spec = make_spec(n, d, n_r=args.nr, n_s=args.ns, symmetrize=symmetrize)
+    return build_grid(spec, tie_break_seed=args.seed)
 
 
 def _note_odd_ns(args, spec):
@@ -183,8 +180,9 @@ def _cmd_two_sample(args):
         raise DataError(
             f"input files differ in dimension: {x.shape[1]} vs {y.shape[1]}"
         )
+    grid = _grid(args, x.shape[0] + y.shape[0], x.shape[1])
     call = METHODS["two_sample"][args.method]
-    return _emit(args, call([x, y], args.score, args.scatter, _grid_kwargs(args)))
+    return _emit(args, call([x, y], args.score, args.scatter, grid))
 
 
 def _split_groups(path, group_col, response_cols):
@@ -212,8 +210,9 @@ def _split_groups(path, group_col, response_cols):
 def _cmd_manova(args):
     cols = _csv_list(args.response_cols) if args.response_cols else None
     groups, _ = _split_groups(args.input, args.group_col, cols)
+    grid = _grid(args, sum(g.shape[0] for g in groups), groups[0].shape[1])
     call = METHODS["manova"][args.method]
-    return _emit(args, call(groups, args.score, args.scatter, _grid_kwargs(args)))
+    return _emit(args, call(groups, args.score, args.scatter, grid))
 
 
 def _cmd_regression(args):
@@ -226,7 +225,7 @@ def _cmd_regression(args):
     if args.beta0:
         beta0 = _load_beta0(args.beta0, c.shape[1], y.shape[1])
     result = rank_tests.regression_test(
-        y, c, beta0, args.score, **_grid_kwargs(args)
+        y, c, beta0, args.score, grid=_grid(args, *y.shape)
     )
     return _emit(args, result)
 
@@ -242,12 +241,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_grid_dump(args):
-    spec = make_spec(
-        args.n, args.d, n_r=args.nr, n_s=args.ns,
-        symmetrize=_grid_kwargs(args)["symmetrize"],
-    )
-    _note_odd_ns(args, spec)
-    grid = build_grid(spec, tie_break_seed=args.seed)
+    grid = _grid(args, args.n, args.d)
+    _note_odd_ns(args, grid.spec)
     if args.out:
         grid_to_csv(grid, args.out)
     else:

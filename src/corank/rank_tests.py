@@ -202,15 +202,6 @@ def q_spherical(lam, score, d, n):
     return float(n * d / score.norm_sq() * (lam * lam).sum())
 
 
-def _resolve_grid(n, d, n_r, n_s, symmetrize, tie_break_seed, grid):
-    if grid is not None:
-        if not isinstance(grid, Grid):
-            raise InvalidInputError("grid must be a Grid instance")
-        return grid
-    spec = make_spec(n, d, n_r=n_r, n_s=n_s, symmetrize=symmetrize)
-    return build_grid(spec, tie_break_seed=tie_break_seed)
-
-
 def _dummy_covariates(sizes):
     n = int(sum(sizes))
     c = np.zeros((n, len(sizes) - 1))
@@ -229,15 +220,16 @@ def _quadratic_form(design, rs, score, grid):
     return q_general(lam, score.score_cov(rs.d, grid), rs.n)
 
 
-def k_sample_statistic(rs, sizes, score, grid=None):
+def k_sample_statistic(rs, sizes, score):
     """Statistic for a K-group comparison from pooled ranks and signs.
 
     The regression statistic on the dummy-coded design of the groups.
-    Baselines reuse this with their own rank containers; ``grid`` is
-    only read by a VectorScore that estimates its covariance on it.
+    Baselines reuse this with their own rank containers.  There is no
+    grid to estimate a covariance on, so a VectorScore must carry its
+    own.
     """
     design = standardize_design(_dummy_covariates(sizes))
-    return _quadratic_form(design, rs, score, grid)
+    return _quadratic_form(design, rs, score, None)
 
 
 def validate_groups(samples):
@@ -260,8 +252,7 @@ def validate_groups(samples):
     return arrays
 
 
-def two_sample_test(sample1, sample2, score="wilcoxon", *, n_r=None, n_s=None,
-                    symmetrize=True, tie_break_seed=0, grid=None):
+def two_sample_test(sample1, sample2, score="wilcoxon", *, grid=None):
     """Center-outward two-sample location test.
 
     Parameters
@@ -270,30 +261,22 @@ def two_sample_test(sample1, sample2, score="wilcoxon", *, n_r=None, n_s=None,
         The two groups, each with at least 2 observations, d >= 2.
     score : str or ScoreFunction or VectorScore
         "sign", "wilcoxon" (default), "vdw", or a score object.
-    n_r, n_s : int, optional
-        Explicit grid factorization for the pooled size; balanced
-        otherwise.
-    symmetrize : bool
-        Use antipodally paired directions (default True).
-    tie_break_seed : int
-        Seed for tie-break directions when the grid has n_0 >= 2.
     grid : Grid, optional
-        Prebuilt grid for the pooled sample; overrides the grid options.
+        Grid for the pooled sample.  By default the balanced
+        symmetrized grid ``build_grid(make_spec(n, d, symmetrize=True))``;
+        build another with :func:`~corank.sphere_grid.make_spec` and
+        :func:`~corank.sphere_grid.build_grid`.
 
     Returns
     -------
     TestResult
         Chi-square statistic with d degrees of freedom.
     """
-    result = manova_test(
-        [sample1, sample2], score, n_r=n_r, n_s=n_s, symmetrize=symmetrize,
-        tie_break_seed=tie_break_seed, grid=grid,
-    )
+    result = manova_test([sample1, sample2], score, grid=grid)
     return replace(result, method="co-two-sample")
 
 
-def manova_test(samples, score="wilcoxon", *, n_r=None, n_s=None,
-                symmetrize=True, tie_break_seed=0, grid=None):
+def manova_test(samples, score="wilcoxon", *, grid=None):
     """Center-outward K-group location test (MANOVA analogue).
 
     Same conventions as :func:`two_sample_test`; ``samples`` is a
@@ -304,14 +287,12 @@ def manova_test(samples, score="wilcoxon", *, n_r=None, n_s=None,
     samples = validate_groups(samples)
     result = regression_test(
         np.vstack(samples), _dummy_covariates([s.shape[0] for s in samples]),
-        None, score, n_r=n_r, n_s=n_s, symmetrize=symmetrize,
-        tie_break_seed=tie_break_seed, grid=grid,
+        None, score, grid=grid,
     )
     return replace(result, method="co-manova")
 
 
-def regression_test(y, c, beta0=None, score="wilcoxon", *, n_r=None, n_s=None,
-                    symmetrize=True, tie_break_seed=0, grid=None):
+def regression_test(y, c, beta0=None, score="wilcoxon", *, grid=None):
     """Test H0: beta = beta0 in the multiple-output linear model.
 
     Computes center-outward ranks and signs of the null residuals
@@ -329,7 +310,7 @@ def regression_test(y, c, beta0=None, score="wilcoxon", *, n_r=None, n_s=None,
         shift of ``y`` leaves the statistic unchanged.
     beta0 : (m, d) array, optional
         Hypothesized coefficients; zero matrix by default.
-    score, n_r, n_s, symmetrize, tie_break_seed, grid
+    score, grid
         As in :func:`two_sample_test`.
 
     Returns
@@ -340,7 +321,10 @@ def regression_test(y, c, beta0=None, score="wilcoxon", *, n_r=None, n_s=None,
     n, d = z.shape
     score = get_score(score, d)
     design = standardize_design(c)
-    grid = _resolve_grid(n, d, n_r, n_s, symmetrize, tie_break_seed, grid)
+    if grid is None:
+        grid = build_grid(make_spec(n, d, symmetrize=True))
+    elif not isinstance(grid, Grid):
+        raise InvalidInputError("grid must be a Grid instance")
     rs = ranks_signs(empirical_map(z, grid))
     stat = _quadratic_form(design, rs, score, grid)
     dof = design.m * d

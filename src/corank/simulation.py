@@ -37,31 +37,31 @@ from .scores import SCORES
 from .sphere_grid import build_grid, make_spec, symmetrizes
 
 
-def _sphericized(g, score, scatter, opts):
-    return sphericized_center_outward_test(g, score, scatter, **opts)
+def _sphericized(g, score, scatter, grid):
+    return sphericized_center_outward_test(g, score, scatter, grid=grid)
 
 
-def _elliptical(g, score, scatter, opts):
+def _elliptical(g, score, scatter, grid):
     return elliptical_rank_test(g, score)
 
 
-# study -> method -> call(groups, score, scatter, grid_options).  Each call
-# looks its test up in this module's globals when it runs, so rebinding a
-# module-level name reaches the studies and the command line alike.
+# study -> method -> call(groups, score, scatter, grid).  Each call looks its
+# test up in this module's globals when it runs, so rebinding a module-level
+# name reaches the studies and the command line alike.
 METHODS = {
     "two_sample": {
-        "co": lambda g, score, scatter, opts: two_sample_test(
-            g[0], g[1], score, **opts
+        "co": lambda g, score, scatter, grid: two_sample_test(
+            g[0], g[1], score, grid=grid
         ),
         "co-sphericized": _sphericized,
         "elliptical": _elliptical,
-        "hotelling": lambda g, score, scatter, opts: hotelling_two_sample(g[0], g[1]),
+        "hotelling": lambda g, score, scatter, grid: hotelling_two_sample(g[0], g[1]),
     },
     "manova": {
-        "co": lambda g, score, scatter, opts: manova_test(g, score, **opts),
+        "co": lambda g, score, scatter, grid: manova_test(g, score, grid=grid),
         "co-sphericized": _sphericized,
         "elliptical": _elliptical,
-        "pillai": lambda g, score, scatter, opts: pillai_manova(g),
+        "pillai": lambda g, score, scatter, grid: pillai_manova(g),
     },
 }
 
@@ -235,7 +235,7 @@ def _replicate(config):
         sum(config.sizes), law.d, n_r=config.n_r, n_s=config.n_s,
         symmetrize=symmetrizes(config.n_r, config.n_s),
     )
-    grid_options = {"grid": build_grid(spec, tie_break_seed=config.master_seed)}
+    grid = build_grid(spec, tie_break_seed=config.master_seed)
     calls = [METHODS[config.study][m] for m in config.methods]
     shape = (len(calls), len(config.deltas), config.n_replications)
     statistics, p_values = np.empty(shape), np.empty(shape)
@@ -246,7 +246,7 @@ def _replicate(config):
             for j, delta in enumerate(config.deltas):
                 groups = bases[:-1] + [shift(bases[-1], delta)]
                 for i, call in enumerate(calls):
-                    result = call(groups, config.score, config.scatter, grid_options)
+                    result = call(groups, config.score, config.scatter, grid)
                     statistics[i, j, rep] = result.statistic
                     p_values[i, j, rep] = result.p_value
         except Exception as err:

@@ -86,6 +86,21 @@ def test_method_plumbing(two_files, capsys):
         assert json.loads(capsys.readouterr().out)["method"] == label
 
 
+def test_grid_flags_that_cannot_factor_the_sample_fail_for_every_method(tmp_path, capsys):
+    # the grid is built before any method runs, so 3 x 3 cannot hold 40 rows
+    # even for hotelling, which ranks nothing
+    rng = np.random.default_rng(64)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_csv(a, ["y1", "y2"], rng.standard_normal((20, 2)))
+    write_csv(b, ["y1", "y2"], rng.standard_normal((20, 2)))
+    code = main(["two-sample", "--input", str(a), str(b), "--method", "hotelling",
+                 "--nr", "3", "--ns", "3"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "corank: error:" in captured.err
+
+
 def test_json_names_the_null_law(two_files, capsys):
     # hotelling's p-value comes from an F law with dof [d, n - 1 - d]
     for method, law, dof in [("hotelling", "f", [2, 23]), ("co", "chi2", 2)]:
@@ -108,20 +123,22 @@ def test_two_sample_matches_library(two_files, capsys):
     assert payload["p_value"] == pytest.approx(res.p_value, rel=1e-12)
 
 
-# Each registered method called straight from the library: (groups, grid options).
+# Each registered method called straight from the library: (groups, grid).
 LIBRARY_CALLS = {
-    ("two_sample", "co"): lambda g, o: corank.two_sample_test(g[0], g[1], "vdw", **o),
-    ("two_sample", "co-sphericized"): lambda g, o: (
-        corank.sphericized_center_outward_test(g, "vdw", "tyler", **o)
+    ("two_sample", "co"): lambda g, grid: corank.two_sample_test(
+        g[0], g[1], "vdw", grid=grid
     ),
-    ("two_sample", "elliptical"): lambda g, o: corank.elliptical_rank_test(g, "vdw"),
-    ("two_sample", "hotelling"): lambda g, o: corank.hotelling_two_sample(g[0], g[1]),
-    ("manova", "co"): lambda g, o: corank.manova_test(g, "vdw", **o),
-    ("manova", "co-sphericized"): lambda g, o: (
-        corank.sphericized_center_outward_test(g, "vdw", "tyler", **o)
+    ("two_sample", "co-sphericized"): lambda g, grid: (
+        corank.sphericized_center_outward_test(g, "vdw", "tyler", grid=grid)
     ),
-    ("manova", "elliptical"): lambda g, o: corank.elliptical_rank_test(g, "vdw"),
-    ("manova", "pillai"): lambda g, o: corank.pillai_manova(g),
+    ("two_sample", "elliptical"): lambda g, grid: corank.elliptical_rank_test(g, "vdw"),
+    ("two_sample", "hotelling"): lambda g, grid: corank.hotelling_two_sample(g[0], g[1]),
+    ("manova", "co"): lambda g, grid: corank.manova_test(g, "vdw", grid=grid),
+    ("manova", "co-sphericized"): lambda g, grid: (
+        corank.sphericized_center_outward_test(g, "vdw", "tyler", grid=grid)
+    ),
+    ("manova", "elliptical"): lambda g, grid: corank.elliptical_rank_test(g, "vdw"),
+    ("manova", "pillai"): lambda g, grid: corank.pillai_manova(g),
 }
 
 
@@ -156,8 +173,8 @@ def test_registry_matches_library(study, method, tmp_path, capsys):
         argv = ["manova", "--input", str(path), "--group-col", "group", *opts]
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
-    grid_options = {"n_r": 4, "n_s": 6, "symmetrize": True, "tie_break_seed": 3}
-    res = LIBRARY_CALLS[study, method](groups, grid_options)
+    spec = corank.make_spec(26, 2, n_r=4, n_s=6, symmetrize=True)
+    res = LIBRARY_CALLS[study, method](groups, corank.build_grid(spec, tie_break_seed=3))
     assert payload["method"] == res.method
     assert payload["statistic"] == pytest.approx(res.statistic, rel=1e-12)
     assert payload["p_value"] == pytest.approx(res.p_value, rel=1e-12)
@@ -396,13 +413,23 @@ def test_simulate_odd_ns_disables_symmetrization(tmp_path, capsys):
     assert out == buf.getvalue()
     rng = np.random.default_rng([0, 0])
     x, y = (corank.sample(corank.make_law("gauss"), 5, rng) for _ in range(2))
-    rejected = [
-        corank.two_sample_test(x, corank.shift(y, delta), "sign", n_r=2, n_s=5,
-                               symmetrize=False).p_value < 0.05
-        for delta in cfg["deltas"]
-    ]
+    grid = corank.build_grid(corank.make_spec(10, 2, n_r=2, n_s=5))
+    results = [corank.two_sample_test(x, corank.shift(y, delta), "sign", grid=grid)
+               for delta in cfg["deltas"]]
     assert [int(row["rejections"]) for row in csv.DictReader(io.StringIO(out))] \
-        == [int(r) for r in rejected] == [0, 1]
+        == [int(r.p_value < 0.05) for r in results] == [0, 1]
+    # the test subcommand builds the same unsymmetrized grid from the same flags
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_csv(a, ["y1", "y2"], x)
+    write_csv(b, ["y1", "y2"], y)
+    argv = ["two-sample", "--input", str(a), str(b), "--score", "sign",
+            "--nr", "2", "--ns", "5", "--json"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "disabling direction symmetrization" in captured.err
+    payload = json.loads(captured.out)
+    assert payload["statistic"] == results[0].statistic
+    assert payload["p_value"] == results[0].p_value
 
 
 def test_simulate_bad_config_is_usage_error(tmp_path, capsys):
@@ -448,7 +475,7 @@ def test_permuted_labels_give_uniform_p_values(tmp_path, capsys):
     for i in range(500):
         perm = rng.permutation(100)
         shuffled = RanksSigns(rank=rs.rank[perm], sign=rs.sign[perm], n_r=rs.n_r)
-        stat = k_sample_statistic(shuffled, [50, 50], score, grid)
+        stat = k_sample_statistic(shuffled, [50, 50], score)
         pvals[i] = corank.chi_sq_sf(2, stat)
     assert sps.kstest(pvals, "uniform").pvalue > 0.01
 

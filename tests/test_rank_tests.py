@@ -222,7 +222,8 @@ def test_two_sample_worked_example():
     # Q = (4*2/(2*2*(1/3))) * 1 = 6
     x = np.array([[0.9, 0.0], [2.1, 0.0]])
     y = np.array([[-0.9, 0.0], [-2.1, 0.0]])
-    res = two_sample_test(x, y, "wilcoxon", n_r=2, n_s=2)
+    grid = build_grid(make_spec(4, 2, n_r=2, n_s=2, symmetrize=True))
+    res = two_sample_test(x, y, "wilcoxon", grid=grid)
     assert res.statistic == pytest.approx(6.0, rel=1e-12)
     assert res.dof == 2
     assert res.method == "co-two-sample"
@@ -232,7 +233,8 @@ def test_two_sample_zero_sum_group_scores():
     # group one lands symmetrically, so its score sum vanishes and Q = 0
     x = np.array([[0.9, 0.0], [-0.9, 0.0]])
     y = np.array([[2.1, 0.0], [-2.1, 0.0]])
-    res = two_sample_test(x, y, "wilcoxon", n_r=2, n_s=2)
+    grid = build_grid(make_spec(4, 2, n_r=2, n_s=2, symmetrize=True))
+    res = two_sample_test(x, y, "wilcoxon", grid=grid)
     assert res.statistic == pytest.approx(0.0, abs=1e-15)
     assert res.p_value == 1.0
 
@@ -303,7 +305,8 @@ def test_manova_zero_sum_groups():
         np.array([[2.1, 0.0], [-2.1, 0.0]]),
         np.array([[3.5, 0.0], [-3.5, 0.0]]),
     ]
-    res = manova_test(groups, "wilcoxon", n_r=3, n_s=2)
+    grid = build_grid(make_spec(6, 2, n_r=3, n_s=2, symmetrize=True))
+    res = manova_test(groups, "wilcoxon", grid=grid)
     assert res.statistic == pytest.approx(0.0, abs=1e-14)
     assert res.dof == 4
 
@@ -344,18 +347,17 @@ def test_k_sample_engine_routes_design_path_without_grid():
             for sizes in splits:
                 ref = group_sum_statistic(rs, sizes, score)
                 assert ref > 0.0
-                for engine in (
-                    k_sample_statistic(rs, sizes, score, grid),
-                    k_sample_statistic(rs, sizes, score),
-                ):
-                    assert engine == pytest.approx(ref, rel=1e-12)
+                assert k_sample_statistic(rs, sizes, score) == pytest.approx(
+                    ref, rel=1e-12
+                )
 
 
 def test_unsymmetrized_grid_falls_back_to_design_path():
     rng = np.random.default_rng(34)
     x = rng.standard_normal((18, 2))
     y = rng.standard_normal((18, 2))
-    res = two_sample_test(x, y, "wilcoxon", n_r=4, n_s=9, symmetrize=False)
+    grid = build_grid(make_spec(36, 2, n_r=4, n_s=9))
+    res = two_sample_test(x, y, "wilcoxon", grid=grid)
     assert res.grid_spec.symmetrize is False
     assert np.isfinite(res.statistic)
     assert res.statistic >= 0.0
@@ -418,8 +420,24 @@ def test_result_seed_is_the_seed_of_the_grid_used():
     assert two_sample_test(x, y, grid=grid).seed == 7
     assert sphericized_center_outward_test([x, y], grid=grid).seed == 7
     assert regression_test(np.vstack([x, y]), c, grid=grid).seed == 7
-    # without a grid the argument seeds the one built
-    assert two_sample_test(x, y, n_r=4, n_s=12, tie_break_seed=5).seed == 5
+    # without a grid the default one is built with seed 0
+    assert two_sample_test(x, y).seed == 0
+
+
+def test_grid_must_be_a_built_grid():
+    rng = np.random.default_rng(62)
+    x, y = rng.standard_normal((10, 2)), rng.standard_normal((10, 2))
+    c = np.r_[np.ones(10), np.zeros(10)][:, None]
+    spec = make_spec(20, 2, symmetrize=True)
+    calls = (
+        lambda: two_sample_test(x, y, grid=spec),
+        lambda: manova_test([x, y], grid=spec),
+        lambda: regression_test(np.vstack([x, y]), c, grid=spec),
+        lambda: sphericized_center_outward_test([x, y], grid=spec),
+    )
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="grid must be a Grid"):
+            call()
 
 
 def test_result_p_value_consistency():

@@ -253,7 +253,7 @@ def test_odd_explicit_n_s_turns_symmetrization_off():
     draws = run_null_distribution(cfg)
     rng = np.random.default_rng([cfg.master_seed, 0])
     x, y = (sample(make_law(cfg.law), nk, rng) for nk in cfg.sizes)
-    want = two_sample_test(x, y, n_r=2, n_s=5, symmetrize=False)
+    want = two_sample_test(x, y, grid=build_grid(make_spec(10, 2, n_r=2, n_s=5)))
     assert draws["co"][0] == want.statistic
 
 
