@@ -19,12 +19,11 @@ invariant under shifts and positive-diagonal triangular rescalings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import betainc
-from scipy.stats import rankdata
 
 from .center_outward import RanksSigns
 from .errors import (
@@ -32,7 +31,13 @@ from .errors import (
     InvalidInputError,
     NumericalError,
 )
-from .rank_tests import TestResult, k_sample_statistic, manova_test, validate_groups
+from .rank_tests import (
+    TestResult,
+    co_test,
+    group_design,
+    k_sample_statistic,
+    validate_groups,
+)
 from .scores import chi_sq_sf, get_score
 
 TYLER_TOL = 1e-9
@@ -144,8 +149,10 @@ def elliptical_ranks_signs(z_ell):
     moduli = np.linalg.norm(z_ell, axis=1)
     if np.any(moduli < 1e-300):
         raise DegenerateInputError("zero residual has no direction")
-    ranks = rankdata(moduli, method="ordinal").astype(float)
-    return RanksSigns(rank=ranks, sign=z_ell / moduli[:, None], n_r=z_ell.shape[0])
+    n = z_ell.shape[0]
+    ranks = np.empty(n)
+    ranks[np.argsort(moduli, kind="stable")] = np.arange(1.0, n + 1.0)
+    return RanksSigns(rank=ranks, sign=z_ell / moduli[:, None], n_r=n)
 
 
 def elliptical_rank_test(samples, score="wilcoxon"):
@@ -191,12 +198,11 @@ def sphericized_center_outward_test(samples, score="wilcoxon", scatter="sample",
             f"unknown scatter {scatter!r}; expected one of {sorted(SCATTERS)}"
         )
     z = sphericize(pooled, SCATTERS[scatter](pooled), root="cholesky")
-    sizes = np.cumsum([s.shape[0] for s in samples])[:-1]
     method = (
         "co-sphericized-two-sample" if len(samples) == 2 else "co-sphericized-manova"
     )
-    result = manova_test(np.split(z, sizes), score, grid=grid)
-    return replace(result, method=method)
+    design = group_design(tuple(s.shape[0] for s in samples))
+    return co_test(method, z, design, score, grid)
 
 
 def _f_sf(x, df1, df2):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .assignment import WARM_START_MIN_N, _column_duals, solve_assignment, squared_cost
 from .errors import InvalidInputError, InvalidSpecError
-from .sphere_grid import Grid, GridSpec, build_grid
+from .sphere_grid import Grid, GridSpec, RanksSigns, build_grid
 
 # Gridpoint sets whose exact potential is kept; past this many, the
 # least recently used set's store is dropped.
@@ -57,33 +57,6 @@ class CenterOutwardMap:
     total_cost: float
     grid: Grid
     offset: np.ndarray
-
-
-@dataclass(frozen=True)
-class RanksSigns:
-    """Per-observation ranks and unit sign vectors.
-
-    ``rank`` takes values in {0, 1/2, 1, ..., n_r}; the zero vector
-    stands in as the sign of an observation mapped to the origin.
-    Normalized ranks are ``rank / (n_r + 1)``.  Elliptical ranks reuse
-    this container with ``n_r = n`` (divisor ``n + 1``).
-    """
-
-    rank: np.ndarray
-    sign: np.ndarray
-    n_r: int
-
-    @property
-    def n(self):
-        return self.rank.shape[0]
-
-    @property
-    def d(self):
-        return self.sign.shape[1]
-
-    @property
-    def rank_divisor(self):
-        return self.n_r + 1
 
 
 def _has_duplicate_rows(z, sorted_columns):

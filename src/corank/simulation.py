@@ -72,6 +72,13 @@ def _number(value):
     return float(value)
 
 
+def _finite(value):
+    value = _number(value)
+    if not np.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
 def _string(value):
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
@@ -103,7 +110,7 @@ _FIELD_TYPES = {
     "study": _one_of(METHODS),
     "law": _string,
     "sizes": _tuple_of(operator.index),
-    "deltas": _tuple_of(_number),
+    "deltas": _tuple_of(_finite),
     "methods": _tuple_of(str),
     "n_replications": operator.index,
     "alpha": _number,
@@ -147,6 +154,11 @@ class SimConfig:
             raise InvalidSpecError("need at least one delta")
         if not self.methods:
             raise InvalidSpecError("need at least one method")
+        # a power curve has one row per (method, delta)
+        for key in ("deltas", "methods"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise InvalidSpecError(f"{key}: repeated entries in {values}")
         for m in self.methods:
             if m not in METHODS[self.study]:
                 raise InvalidSpecError(

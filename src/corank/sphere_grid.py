@@ -22,15 +22,19 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
 from .errors import InvalidSpecError
+from .scores import ScoreFunction
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+
+# Scores whose tables a grid keeps; a further score drops the oldest table.
+SCORE_TABLES = 4
 
 
 @dataclass(frozen=True)
@@ -233,6 +237,33 @@ def unit_directions(n_s, d, symmetrize=False):
 
 
 @dataclass(frozen=True)
+class RanksSigns:
+    """Per-observation ranks and unit sign vectors.
+
+    ``rank`` takes values in {0, 1/2, 1, ..., n_r}; the zero vector
+    stands in as the sign of an observation mapped to the origin.
+    Normalized ranks are ``rank / (n_r + 1)``.  Elliptical ranks reuse
+    this container with ``n_r = n`` (divisor ``n + 1``).
+    """
+
+    rank: np.ndarray
+    sign: np.ndarray
+    n_r: int
+
+    @property
+    def n(self):
+        return self.rank.shape[0]
+
+    @property
+    def d(self):
+        return self.sign.shape[1]
+
+    @property
+    def rank_divisor(self):
+        return self.n_r + 1
+
+
+@dataclass(frozen=True)
 class Grid:
     """A realized ball grid: point coordinates plus rank/sign bookkeeping.
 
@@ -240,7 +271,9 @@ class Grid:
     ``direction_index`` is 1..n_s (0 for an origin point);
     ``is_tiebreak`` marks the near-origin leftover points that carry
     rank 1/2.  Ranks and signs are always read from these integer
-    fields, never recovered from floating coordinates.
+    fields, never recovered from floating coordinates.  A grid also
+    keeps the vector scores of its gridpoints for its last few scores
+    (see :meth:`score_table`).
     """
 
     points: np.ndarray
@@ -250,6 +283,11 @@ class Grid:
     directions: np.ndarray
     spec: GridSpec | None
     tie_break_seed: int = 0
+    # (score, table, cov) per score used, oldest first; a grid made by
+    # dataclasses.replace starts without any
+    _score_tables: list = field(
+        default_factory=list, init=False, compare=False, repr=False
+    )
 
     @property
     def n(self):
@@ -275,6 +313,40 @@ class Grid:
         has_dir = self.direction_index > 0
         signs[has_dir] = self.directions[self.direction_index[has_dir] - 1]
         return signs
+
+    def score_table(self, score):
+        """Vector scores at every gridpoint, and the score covariance.
+
+        Returns ``(table, cov)``, both read-only.  ``table`` is the
+        ``(n, d)`` array ``score.vector_scores`` gives for the grid's
+        own ranks and signs, so an observation assigned to gridpoint
+        ``j`` has vector score ``table[j]``: the score is evaluated once
+        on all gridpoints, elementwise for a J and row by row for a
+        :class:`~corank.scores.VectorScore`.  ``cov`` is
+        ``score.score_cov(d, grid)`` for a VectorScore and None for a
+        spherical score, whose statistic uses the squared norm of J.
+
+        Both are computed on a score's first use and kept for the last
+        ``SCORE_TABLES`` scores.  Equal spherical scores share a table,
+        so a score given by name finds it on every call after the first;
+        a VectorScore finds only its own.  Concurrent callers can at
+        worst compute a table more than once.
+        """
+        tables = self._score_tables
+        for kept, table, cov in tables:
+            if kept is score or (isinstance(score, ScoreFunction) and kept == score):
+                return table, cov
+        table = score.vector_scores(
+            RanksSigns(self.rank_values(), self.sign_vectors(), self.n_r)
+        ).view()  # read-only views leave the flags of a caller's array alone
+        table.setflags(write=False)
+        cov = None
+        if not isinstance(score, ScoreFunction):
+            cov = np.asarray(score.score_cov(self.d, self), dtype=float).view()
+            cov.setflags(write=False)
+        tables.append((score, table, cov))
+        del tables[:-SCORE_TABLES]
+        return table, cov
 
 
 def build_grid(spec, tie_break_seed=0):

@@ -137,6 +137,18 @@ def test_elliptical_ranks_pin():
     assert rs.rank_divisor == 3
 
 
+def test_elliptical_ranks_break_ties_by_row_order():
+    # rows 0, 1 and 3 share modulus 1; ties go to the earlier row in
+    # either row order
+    z = np.array([[1.0, 0.0], [0.0, -1.0], [2.0, 0.0], [-1.0, 0.0]])
+    rs = elliptical_ranks_signs(z)
+    assert np.array_equal(rs.rank, [1.0, 2.0, 4.0, 3.0])
+    assert np.array_equal(rs.sign, [[1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [-1.0, 0.0]])
+    rs = elliptical_ranks_signs(z[::-1])
+    assert np.array_equal(rs.rank, [1.0, 4.0, 2.0, 3.0])
+    assert np.array_equal(rs.sign, [[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [1.0, 0.0]])
+
+
 def test_elliptical_ranks_are_a_permutation():
     z = np.random.default_rng(47).standard_normal((40, 3))
     rs = elliptical_ranks_signs(z)

@@ -448,7 +448,9 @@ def test_simulate_bad_config_is_usage_error(tmp_path, capsys):
         assert "'bogus'" in err and "replication" not in err
     # so are fields of the wrong type, without a traceback
     for key, value in (("sizes", "50,50"), ("n_replications", "5"),
-                       ("deltas", 0.1), ("alpha", "0.05")):
+                       ("deltas", 0.1), ("alpha", "0.05"),
+                       ("deltas", [float("nan")]), ("deltas", [0.0, 0.0]),
+                       ("methods", ["co", "co"])):
         cpath.write_text(json.dumps({key: value}))
         assert main(["simulate", "--config", str(cpath)]) == 1
         err = capsys.readouterr().err

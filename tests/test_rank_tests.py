@@ -1,5 +1,8 @@
 """Linear rank statistics, design standardization, and the chi-square tests."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -12,6 +15,7 @@ from corank import (
     build_grid,
     chi_sq_quantile,
     chi_sq_sf,
+    custom_score,
     empirical_map,
     estimate_score_cov,
     get_score,
@@ -477,3 +481,90 @@ def test_monotone_power_in_shift():
     for lo, hi in zip(rows, rows[1:]):
         slack = 2.0 * np.hypot(lo["mc_se"], hi["mc_se"])
         assert hi["frequency"] >= lo["frequency"] - slack
+
+
+def _cube(p):
+    return p ** 3
+
+
+def _table_scores():
+    # more scores than a grid keeps tables for, so tables are dropped too
+    return ["sign", "wilcoxon", "vdw", custom_score(np.sqrt, norm_sq=0.5),
+            VectorScore(_cube)]
+
+
+def test_score_table_is_kept_read_only():
+    grid = build_grid(make_spec(50, 2, symmetrize=True))
+    table, cov = grid.score_table(get_score("vdw", 2))
+    assert cov is None and not table.flags.writeable
+    # an equal score, as a score name resolves to on every call, finds it
+    assert grid.score_table(get_score("vdw", 2))[0] is table
+    vector = VectorScore(_cube)
+    table, cov = grid.score_table(vector)
+    assert not table.flags.writeable and not cov.flags.writeable
+    assert np.array_equal(cov, estimate_score_cov(_cube, grid))
+    assert grid.score_table(vector)[1] is cov
+
+
+def test_rotated_grid_does_not_inherit_the_score_table():
+    # a spherical statistic cannot tell rotated scores apart, so this
+    # takes a vector score, whose table and covariance both rotate
+    rng = np.random.default_rng(61)
+    x, y = rng.standard_normal((25, 2)), rng.standard_normal((25, 2)) + 0.5
+    q = np.array([[0.6, -0.8], [0.8, 0.6]])
+    score = VectorScore(_cube)
+    grid = build_grid(make_spec(50, 2, symmetrize=True))
+    two_sample_test(x, y, score, grid=grid)
+    rotated = rotate_grid(grid, q)
+    fresh = rotate_grid(build_grid(grid.spec), q)
+    got = two_sample_test(x, y, score, grid=rotated)
+    assert got == two_sample_test(x, y, score, grid=fresh)
+    assert got != two_sample_test(x, y, score, grid=grid)
+
+
+def test_alternating_scores_on_one_grid_match_fresh_grids():
+    rng = np.random.default_rng(62)
+    spec = make_spec(50, 2, n_r=5, n_s=10, symmetrize=True)
+    grid = build_grid(spec)
+    c = rng.standard_normal((50, 2))
+    for _ in range(2):
+        for score in _table_scores():
+            x, y = rng.standard_normal((25, 2)), rng.standard_normal((25, 2)) + 0.3
+            assert two_sample_test(x, y, score, grid=grid) == two_sample_test(
+                x, y, score, grid=build_grid(spec)
+            )
+            z = np.vstack([x, y])
+            assert regression_test(z, c, score=score, grid=grid) == regression_test(
+                z, c, score=score, grid=build_grid(spec)
+            )
+
+
+def test_threads_with_different_scores_share_a_grid():
+    # one thread per score, more threads than cores and than kept tables,
+    # switching often: each must get what it gets alone
+    rng = np.random.default_rng(63)
+    spec = make_spec(50, 2, symmetrize=True)
+    pairs = [(rng.standard_normal((25, 2)), rng.standard_normal((25, 2)) + 0.3)
+             for _ in range(3)]
+    scores = _table_scores()
+    want = [[two_sample_test(x, y, s, grid=build_grid(spec)) for x, y in pairs]
+            for s in scores]
+    grid = build_grid(spec)
+    got = [None] * len(scores)
+
+    def work(i):
+        got[i] = [[two_sample_test(x, y, scores[i], grid=grid) for x, y in pairs]
+                  for _ in range(4)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(scores))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 4 for w in want]

@@ -18,7 +18,9 @@ from corank import (
     make_spec,
     run_null_distribution,
     run_power_study,
+    rank_tests,
     sample,
+    scores,
     simulation,
     two_sample_test,
 )
@@ -80,6 +82,17 @@ def test_config_validation():
                      ("n_r", {"n_r": 4.0, "n_s": 10})):
         with pytest.raises(InvalidSpecError, match=key):
             SimConfig(**bad)
+
+
+def test_config_rejects_unusable_deltas_and_methods():
+    for bad in ((float("nan"),), (0.0, float("inf"))):
+        with pytest.raises(InvalidSpecError, match="deltas"):
+            SimConfig(deltas=bad)
+    # a power curve row is looked up by (method, delta), so each is unique
+    with pytest.raises(InvalidSpecError, match="deltas"):
+        SimConfig(deltas=(0.0, 0.5, 0.0))
+    with pytest.raises(InvalidSpecError, match="methods"):
+        SimConfig(methods=("co", "hotelling", "co"))
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -272,3 +285,24 @@ def test_failing_replication_reports_seed(monkeypatch):
     cfg = small_config(master_seed=3)
     with pytest.raises(SimulationError, match=r"replication 0 \(seed \[3, 0\]\)"):
         run_power_study(cfg)
+
+
+def test_power_study_scores_its_grid_once(monkeypatch):
+    # every co and co-sphericized call of a study reads one vdw table
+    calls = []
+    quantile = scores.chi_sq_quantile
+    monkeypatch.setattr(
+        scores, "chi_sq_quantile", lambda d, p: calls.append(d) or quantile(d, p)
+    )
+    designs = []
+    standardize = rank_tests.standardize_design
+    monkeypatch.setattr(
+        rank_tests, "standardize_design", lambda c: designs.append(c) or standardize(c)
+    )
+    run_power_study(SimConfig(
+        law="t3", sizes=(25, 25), deltas=(0.0, 0.3, 0.6),
+        methods=("co", "co-sphericized"), score="vdw", n_replications=4,
+        master_seed=5,
+    ))
+    assert len(calls) == 1
+    assert len(designs) <= 1  # none when an earlier call made this design
