@@ -221,12 +221,12 @@ def _dummy_covariates(sizes):
     return c
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def group_design(sizes):
     """The standardized dummy-coded design of groups of these sizes.
 
-    ``sizes`` is a tuple.  The design is made once per tuple (the last
-    32 are kept) and shared by every caller, so its arrays are read-only.
+    ``sizes`` is a tuple.  The design of the last tuple used is kept
+    and shared by every caller, so its arrays are read-only.
     """
     design = standardize_design(_dummy_covariates(sizes))
     for a in (design.c, design.c_bar, design.v_c, design.k_n):
@@ -376,4 +376,6 @@ def regression_test(y, c, beta0=None, score="wilcoxon", *, grid=None):
     TestResult
     """
     z = residuals(y, c, beta0)
+    # an unknown score is reported before a degenerate design
+    score = get_score(score, z.shape[1])
     return co_test("co-regression", z, standardize_design(c), score, grid)

@@ -33,9 +33,6 @@ from .scores import ScoreFunction
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
-# Scores whose tables a grid keeps; a further score drops the oldest table.
-SCORE_TABLES = 4
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -272,7 +269,7 @@ class Grid:
     ``is_tiebreak`` marks the near-origin leftover points that carry
     rank 1/2.  Ranks and signs are always read from these integer
     fields, never recovered from floating coordinates.  A grid also
-    keeps the vector scores of its gridpoints for its last few scores
+    keeps the vector scores of its gridpoints for the last score used
     (see :meth:`score_table`).
     """
 
@@ -283,10 +280,10 @@ class Grid:
     directions: np.ndarray
     spec: GridSpec | None
     tie_break_seed: int = 0
-    # (score, table, cov) per score used, oldest first; a grid made by
-    # dataclasses.replace starts without any
-    _score_tables: list = field(
-        default_factory=list, init=False, compare=False, repr=False
+    # one slot holding (score, table, cov) of the last score used; a grid
+    # made by dataclasses.replace starts with it empty
+    _score_table: list = field(
+        default_factory=lambda: [None], init=False, compare=False, repr=False
     )
 
     @property
@@ -326,14 +323,15 @@ class Grid:
         ``score.score_cov(d, grid)`` for a VectorScore and None for a
         spherical score, whose statistic uses the squared norm of J.
 
-        Both are computed on a score's first use and kept for the last
-        ``SCORE_TABLES`` scores.  Equal spherical scores share a table,
-        so a score given by name finds it on every call after the first;
-        a VectorScore finds only its own.  Concurrent callers can at
-        worst compute a table more than once.
+        Both are kept for the last score used; another score replaces
+        them.  Equal spherical scores share a table, so a score given by
+        name finds it on every call after the first; a VectorScore finds
+        only its own.  Concurrent callers can at worst compute a table
+        more than once.
         """
-        tables = self._score_tables
-        for kept, table, cov in tables:
+        entry = self._score_table[0]
+        if entry is not None:
+            kept, table, cov = entry
             if kept is score or (isinstance(score, ScoreFunction) and kept == score):
                 return table, cov
         table = score.vector_scores(
@@ -344,8 +342,7 @@ class Grid:
         if not isinstance(score, ScoreFunction):
             cov = np.asarray(score.score_cov(self.d, self), dtype=float).view()
             cov.setflags(write=False)
-        tables.append((score, table, cov))
-        del tables[:-SCORE_TABLES]
+        self._score_table[0] = (score, table, cov)
         return table, cov
 
 

@@ -396,6 +396,19 @@ def test_regression_rejects_empty_design():
         regression_test(rng.standard_normal((10, 2)), np.zeros((10, 0)))
 
 
+def test_regression_reports_errors_in_input_order():
+    # the score is checked before the design, the design before the grid
+    rng = np.random.default_rng(38)
+    y = rng.standard_normal((40, 2))
+    constant = np.ones((40, 1))
+    with pytest.raises(corank.InvalidScoreError):
+        regression_test(y, constant, score="bogus")
+    with pytest.raises(corank.InvalidScoreError):
+        regression_test(y, rng.standard_normal((40, 1)), score="bogus", grid="bad")
+    with pytest.raises(DegenerateDesignError):
+        regression_test(y, constant, grid="bad")
+
+
 def test_regression_needs_no_intercept():
     rng = np.random.default_rng(37)
     y = rng.standard_normal((40, 2))
@@ -488,7 +501,7 @@ def _cube(p):
 
 
 def _table_scores():
-    # more scores than a grid keeps tables for, so tables are dropped too
+    # a grid keeps one score's table, so each score here replaces the last
     return ["sign", "wilcoxon", "vdw", custom_score(np.sqrt, norm_sq=0.5),
             VectorScore(_cube)]
 
