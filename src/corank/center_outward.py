@@ -16,6 +16,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .assignment import WARM_START_MIN_N, _column_duals, solve_assignment, squared_cost
 from .errors import InvalidInputError, InvalidSpecError
@@ -24,6 +25,10 @@ from .sphere_grid import Grid, GridSpec, RanksSigns, build_grid
 # Gridpoint sets whose exact potential is kept; past this many, the
 # least recently used set's store is dropped.
 STORE_SIZE = 4
+
+# Nearest other gridpoints per column whose constraints give the
+# recovery of a kept potential its first guess.
+NEIGHBOURS = 16
 
 # (points.shape, points.tobytes()) -> that gridpoint set's store, least
 # recently used first; the lock guards reordering and eviction
@@ -100,6 +105,32 @@ def _store_for(points):
     return store
 
 
+def _neighbour_guess(cost, assigned, points):
+    """A start for ``_column_duals`` between zero and the duals it finds from zero.
+
+    Relaxes ``v_j <= cost[i, j] - cost[i, k] + v_k``, for ``i`` the row
+    paired with ``k``, over each column's ``NEIGHBOURS`` nearest
+    gridpoints ``k`` only, by Jacobi passes from zeros.  Those are some
+    of the constraints ``_column_duals`` relaxes, so the guess stays at
+    or above its result, and the exact pass from the guess ends where
+    the pass from zeros does, after far fewer dense passes.
+    """
+    m = points.shape[0]
+    # each column is among its own nearest; its constraint is v_j <= v_j
+    near = cKDTree(points).query(points, k=NEIGHBOURS + 1)[1]
+    owner = np.empty(m, dtype=np.intp)
+    owner[assigned] = np.arange(m)
+    rows = owner[near]
+    step = cost[rows, np.arange(m)[:, None]] - cost[rows, near]
+    v = np.zeros(m)
+    for _ in range(m):
+        relaxed = np.minimum(v, (step + v[near]).min(axis=1))
+        if np.array_equal(relaxed, v):
+            break
+        v = relaxed
+    return v
+
+
 def _kept_potential(store, points):
     """The store's exact potential, recovering a pending one first.
 
@@ -115,8 +146,9 @@ def _kept_potential(store, points):
         pending = store.pop("pending", None)
         if pending is not None:
             z_prev, assigned = pending
-            kept = _column_duals(squared_cost(z_prev, points), assigned,
-                                 np.zeros(points.shape[0]))
+            cost = squared_cost(z_prev, points)
+            kept = _column_duals(cost, assigned,
+                                 _neighbour_guess(cost, assigned, points))
             store["kept"] = kept
     return kept
 

@@ -199,3 +199,36 @@ def test_warm_start_exact_for_any_potential(monkeypatch):
     assert calls == [400]
     assert np.array_equal(pairing.assignment, cols)
     assert pairing.total_cost == cost[rows, cols].sum()
+
+
+def test_warm_paths_hand_scipy_a_row_and_column_reduced_matrix(monkeypatch):
+    # from the subproblem's potential and from a kept one alike, SciPy gets
+    # a nonnegative matrix with a zero in every row and every column
+    n = 400
+    cost = _law_cost("mix2cauchy", n, 2, 403)
+    other = _law_cost("mix2cauchy", n, 2, 404)
+    kept = assignment._column_duals(other, linear_sum_assignment(other)[1], np.zeros(n))
+    cols = linear_sum_assignment(cost)[1]
+    seen, subproblems = [], []
+    potential_of = assignment._column_potential
+
+    def spy(matrix):
+        if matrix.shape[0] >= assignment.WARM_START_MIN_N:
+            seen.append(matrix.min() >= 0.0
+                        and (matrix == 0.0).any(axis=1).all()
+                        and (matrix == 0.0).any(axis=0).all())
+        return linear_sum_assignment(matrix)
+
+    def subproblem(c):
+        subproblems.append(c.shape[0])
+        return potential_of(c)
+
+    monkeypatch.setattr(assignment, "linear_sum_assignment", spy)
+    monkeypatch.setattr(assignment, "_column_potential", subproblem)
+    for potential, path in ((None, [n]), (kept, [])):
+        seen.clear()
+        subproblems.clear()
+        pairing = solve_assignment(cost, potential=potential)
+        assert subproblems == path
+        assert seen == [True]
+        assert np.array_equal(pairing.assignment, cols)

@@ -92,6 +92,29 @@ def test_column_duals_equal_full_scan_and_are_exact(m):
             assert np.abs(reduced[np.arange(m), assigned]).max() <= 1e-9 * cost.max()
 
 
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("m", [250, 400, 1000])
+def test_recovery_from_the_neighbour_guess_is_exact(m, d, law):
+    # the store's first sample on a grid, as the next call recovers it
+    grid = build_grid(make_spec(m, d, symmetrize=True))
+    empirical_map(_draw(law, m, d, [m, d, 91]), grid)
+    z, assigned = _store(grid)["pending"]
+    cost = squared_cost(z, grid)
+    guess = center_outward._neighbour_guess(cost, assigned, grid.points)
+    v = assignment._column_duals(cost, assigned, guess)
+    u = cost[np.arange(m), assigned] - v[assigned]
+    reduced = cost - u[:, None] - v
+    tol = 1e-12 * np.abs(cost).max()
+    assert reduced.min() >= -tol
+    assert np.abs(reduced[np.arange(m), assigned]).max() <= tol
+    from_zero = assignment._column_duals(cost, assigned, np.zeros(m))
+    scale = np.abs(from_zero).max()
+    assert np.abs(v - from_zero).max() <= 1e-9 * scale
+    # the guess lies between zero and the exact duals it starts from
+    assert guess.max() <= 0.0 and (guess - from_zero).min() >= -1e-9 * scale
+
+
 @pytest.mark.parametrize("d", [2, 4])
 @pytest.mark.parametrize("n", [250, 400, 1000])
 def test_reused_grid_matches_dense_solver(n, d):
