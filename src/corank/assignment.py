@@ -17,14 +17,14 @@ bijections of ``cost``: the potential only saves time.
 
 The potential comes from one of two places.
 
-1. The caller.  ``center_outward.empirical_map`` passes the exact
-   column duals of the first sample solved on the same gridpoints,
-   recovered once from that sample's optimal pairing by Bellman-Ford
-   (``_column_duals``, started from a guess relaxed along each
-   gridpoint's nearest neighbours) and kept for every later call.  It
-   scales every sample to median row norm 1 before forming the cost, so
-   those duals live in the frame of every later cost matrix on those
-   gridpoints.
+1. The caller.  ``center_outward.empirical_map`` passes a guess at
+   the column duals of the last sample solved on the same gridpoints:
+   that sample's optimal pairing, relaxed along each gridpoint's
+   nearest neighbours only, which gives a potential between zero and
+   the pairing's exact column duals without forming an n x n matrix.
+   It scales every sample to median row norm 1 before forming the
+   cost, so that guess lives in the frame of every later cost matrix
+   on those gridpoints.
 2. Otherwise, a coarse subproblem, in the spirit of Schmitzer's
    multiscale transport: a seeded random ``n // 4`` by ``n // 4``
    submatrix is solved the same way, recursively, its exact column duals
@@ -45,7 +45,7 @@ back to the subproblem (or the cold solve below ``WARM_START_MIN_N``).
 A potential that passes costs one extra argmin pass over ``cost``: the
 reduced matrix is formed anyway, and its row minima come from its
 argmin.  One that fails costs that matrix and both argmin passes on
-top of the subproblem path; the caller keeps offering it all the same.
+top of the subproblem path.
 
 Timings on a 2-core x86 machine: the subproblem halves a one-off
 two-sample test at n = 1000 (median 436 ms to 214 ms) and cuts the bare
@@ -53,14 +53,17 @@ solve 2-3.5x at n = 2000.  At n = 1000 (mix2cauchy, 3 solves, median of
 best-of-3) the SciPy finish takes 308 ms cold, 180 ms from the
 subproblem and 97 ms from the exact potential of another sample on the
 same gridpoints; recovering that potential from zeros took 91 ms.  The
-column reduction brings the finish from a kept potential to a median
+column reduction brings the finish from another sample's duals to a median
 0.9 of its time after the row reduction alone (n = 400 and 1000, d = 2
 and 4, gauss, t3 and mix2cauchy) and leaves the subproblem's finish
 within noise; repeated default calls at n = 1000 went from 131 to
-118 ms.  Started from the neighbour guess, the recovery at n = 1000
-takes 20-40 ms at d = 2 and 40-60 ms at d = 4, against 90-120 ms from
-zeros.  Below ``WARM_START_MIN_N`` the cold dense solve runs unless
-the caller passes a potential that passes the guard.
+118 ms.  The neighbour guess costs about 1 ms at n = 400 and 3 ms at
+n = 1000, and finishes about as fast as the exact duals of the sample
+it is guessed from; from the previous delta's sample of a power study
+(mix2cauchy, n = 400) the finish takes about 6 ms, against 13-14 ms
+from an unrelated sample's exact duals.  Below ``WARM_START_MIN_N``
+the cold dense solve runs unless the caller passes a potential that
+passes the guard.
 """
 
 from __future__ import annotations

@@ -18,17 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .assignment import WARM_START_MIN_N, _column_duals, solve_assignment, squared_cost
+from .assignment import WARM_START_MIN_N, solve_assignment, squared_cost
 from .errors import InvalidInputError, InvalidSpecError
 from .sphere_grid import Grid, GridSpec, RanksSigns, build_grid
 
-# Gridpoint sets whose exact potential is kept; past this many, the
+# Gridpoint sets whose last solved sample is kept; past this many, the
 # least recently used set's store is dropped.
 STORE_SIZE = 4
 
-# Nearest other gridpoints per column whose constraints give the
-# recovery of a kept potential its first guess.
-NEIGHBOURS = 16
+# Nearest other gridpoints per gridpoint whose constraints give the
+# warm start its guess.
+NEIGHBOURS = 8
 
 # (points.shape, points.tobytes()) -> that gridpoint set's store, least
 # recently used first; the lock guards reordering and eviction
@@ -105,52 +105,65 @@ def _store_for(points):
     return store
 
 
-def _neighbour_guess(cost, assigned, points):
-    """A start for ``_column_duals`` between zero and the duals it finds from zero.
+def _neighbour_table(points):
+    """Each gridpoint's nearest gridpoints and the parts of its guess steps.
 
-    Relaxes ``v_j <= cost[i, j] - cost[i, k] + v_k``, for ``i`` the row
-    paired with ``k``, over each column's ``NEIGHBOURS`` nearest
-    gridpoints ``k`` only, by Jacobi passes from zeros.  Those are some
-    of the constraints ``_column_duals`` relaxes, so the guess stays at
-    or above its result, and the exact pass from the guess ends where
-    the pass from zeros does, after far fewer dense passes.
+    Returns ``(near, base, diff)``, each laid out (``NEIGHBOURS + 1``, m):
+    ``near[t, j]`` is the ``t``-th nearest gridpoint to ``j`` (``j``
+    itself first), ``base[t, j] = |g_j|^2 - |g_k|^2`` and
+    ``diff[t, j] = g_j - g_k`` for ``k = near[t, j]``.
     """
-    m = points.shape[0]
-    # each column is among its own nearest; its constraint is v_j <= v_j
-    near = cKDTree(points).query(points, k=NEIGHBOURS + 1)[1]
+    near = cKDTree(points).query(points, k=NEIGHBOURS + 1)[1].T
+    norms = (points * points).sum(axis=1)
+    return near, norms - norms[near], points - points[near]
+
+
+def _neighbour_guess(z, assignment, table):
+    """A column potential relaxed along grid neighbours from a solved sample.
+
+    ``assignment`` is the optimal pairing of the scaled sample ``z``;
+    ``table`` is ``_neighbour_table`` of the gridpoints.  Relaxes
+    ``v_j <= |z_o(k) - g_j|^2 - |z_o(k) - g_k|^2 + v_k``, for ``o(k)``
+    the observation paired with ``k``, over each gridpoint's
+    ``NEIGHBOURS`` nearest gridpoints ``k`` only, by Jacobi passes from
+    zeros.  Those are some of the constraints that the exact column
+    duals of that pairing satisfy, so the guess lies between 0 and the
+    duals that ``assignment._column_duals`` finds from zeros; no n x n
+    matrix is formed.
+    """
+    near, base, diff = table
+    m = z.shape[0]
     owner = np.empty(m, dtype=np.intp)
-    owner[assigned] = np.arange(m)
-    rows = owner[near]
-    step = cost[rows, np.arange(m)[:, None]] - cost[rows, near]
+    owner[assignment] = np.arange(m)
+    # |z - g_j|^2 - |z - g_k|^2 = |g_j|^2 - |g_k|^2 - 2 z . (g_j - g_k)
+    step = base - 2.0 * np.einsum("tjd,tjd->tj", z[owner[near]], diff)
     v = np.zeros(m)
+    candidates = np.empty_like(step)
     for _ in range(m):
-        relaxed = np.minimum(v, (step + v[near]).min(axis=1))
+        np.take(v, near, out=candidates)
+        candidates += step
+        # near[0] is each gridpoint itself, with step 0, so v never rises
+        relaxed = candidates.min(axis=0)
         if np.array_equal(relaxed, v):
             break
         v = relaxed
     return v
 
 
-def _kept_potential(store, points):
-    """The store's exact potential, recovering a pending one first.
+def _warm_start(store, points):
+    """A potential guessed from the store's last sample, or None if it has none.
 
-    A gridpoint set's first solve records its sample and assignment as
-    pending; the next call recovers that sample's exact column duals
-    from them before it forms its own cost matrix, so the recovery's
-    matrices are freed before that one is made.  Every update replaces
-    a whole entry, so concurrent calls can at worst repeat a recovery,
+    Every update replaces a whole entry, so concurrent calls can at
+    worst guess from another call's sample or build the table twice,
     which costs only time.
     """
-    kept = store.get("kept")
-    if kept is None:
-        pending = store.pop("pending", None)
-        if pending is not None:
-            z_prev, assigned = pending
-            cost = squared_cost(z_prev, points)
-            kept = _column_duals(cost, assigned,
-                                 _neighbour_guess(cost, assigned, points))
-            store["kept"] = kept
-    return kept
+    latest = store.get("latest")
+    if latest is None:
+        return None
+    table = store.get("table")
+    if table is None:
+        table = store["table"] = _neighbour_table(points)
+    return _neighbour_guess(*latest, table)
 
 
 def empirical_map(sample, grid, tie_break_seed=0):
@@ -193,25 +206,28 @@ def empirical_map(sample, grid, tie_break_seed=0):
     the median.
 
     Every cost matrix on one set of gridpoints is thus in one frame, so
-    the exact column potential of one sample is a good warm start for
-    the next.  The module keeps one such potential per gridpoint set,
-    keyed by the points themselves, so separately built grids with
-    equal points share it, and a call that builds its own grid from a
-    GridSpec starts warm from the third call at that size on.  It keeps
-    ``STORE_SIZE`` sets and drops the least recently used one.  From
-    ``assignment.WARM_START_MIN_N`` observations on, the first solve on
-    a gridpoint set records its scaled sample and assignment; the next
-    call recovers that sample's exact column duals, before it forms its
-    own cost matrix, and that call and every later one offer them to
-    the dense solve, which uses them only if they pass its collision
-    guard (see ``assignment``).  The potential is kept until its set's
-    store is dropped; a call that the guard turns it down for runs the
-    subproblem and leaves the store as it was.  A gridpoint set used
-    once never pays for the recovery.  A sample with repeated rows has
-    several optimal assignments, so it neither reads nor writes the
-    store, and the one returned never depends on what ran before.  The
-    store never changes an assignment otherwise either: any potential
-    leads to the same optimum.
+    the optimal pairing of one sample is a good warm start for the
+    next.  From ``assignment.WARM_START_MIN_N`` observations on, the
+    module keeps the last scaled sample solved on each gridpoint set
+    and its assignment, keyed by the points themselves, so separately
+    built grids with equal points share them, and a call that builds
+    its own grid from a GridSpec starts warm from the second call at
+    that size on.  It keeps ``STORE_SIZE`` sets and drops the least
+    recently used one.  A call relaxes the kept pairing's dual
+    constraints along each gridpoint's ``NEIGHBOURS`` nearest
+    gridpoints (``_neighbour_guess``; the neighbour table is built once
+    per set) and offers the result to the dense solve, which uses it
+    only if it passes its collision guard (see ``assignment``).
+    Whatever the guard decides, the call's own sample and assignment
+    then replace the kept ones.  So the deltas of one power-study
+    replication, which share their draws, start from near-exact duals;
+    a switch of law costs one call on the subproblem path; and two
+    shapes of data taking turns on one gridpoint set start cold every
+    time.  A sample with repeated rows has several optimal
+    assignments, so it neither reads nor writes the store, and the one
+    returned never depends on what ran before.  The store never changes
+    an assignment otherwise either: any potential leads to the same
+    optimum.
     """
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 2:
@@ -241,11 +257,10 @@ def empirical_map(sample, grid, tie_break_seed=0):
         assignment = solve_assignment(squared_cost(z, grid.points)).assignment
     else:
         store = _store_for(grid.points)
-        kept = _kept_potential(store, grid.points)
-        cost = squared_cost(z, grid.points)  # formed after the recovery
-        assignment = solve_assignment(cost, potential=kept).assignment
-        if kept is None:
-            store["pending"] = (z, assignment)
+        guess = _warm_start(store, grid.points)
+        cost = squared_cost(z, grid.points)
+        assignment = solve_assignment(cost, potential=guess).assignment
+        store["latest"] = (z, assignment)
     values = grid.points[assignment]
     with np.errstate(over="ignore"):  # inf once the spread passes about 1e154
         total_cost = float(((sample - values) ** 2).sum(axis=1).sum())

@@ -20,11 +20,14 @@ from corank import (
     build_grid,
     custom_score,
     elliptical_rank_test,
+    make_law,
     make_spec,
     manova_test,
     regression_test,
     run_null_distribution,
     run_power_study,
+    sample,
+    simulation,
     sphericized_center_outward_test,
     two_sample_test,
 )
@@ -107,6 +110,37 @@ NULL_CONFIG = SimConfig(
     methods=("co", "co-sphericized", "elliptical", "pillai"),
     score="wilcoxon", n_replications=5, master_seed=4,
 )
+# pooled n = 300 and 400 reach the warm-start store, which n <= 50 above never does
+WARM_POWER_CONFIG = SimConfig(
+    law="mix2cauchy", sizes=(150, 150), deltas=(0.0, 0.15, 0.3),
+    methods=("co", "co-sphericized"), n_replications=4, master_seed=5,
+)
+WARM_NULL_CONFIG = SimConfig(
+    law="t3", sizes=(150, 150), methods=("co", "co-sphericized"),
+    n_replications=4, master_seed=6,
+)
+STUDIES = {"power_study", "null_distribution", "warm_power_study",
+           "warm_null_distribution", "warm_calls"}
+
+
+def _warm_power_study():
+    statistics, p_values = simulation._replicate(WARM_POWER_CONFIG)
+    rows = [[row["method"], row["delta"], row["rejections"], row["frequency"]]
+            for row in run_power_study(WARM_POWER_CONFIG).rows]
+    return {"rows": rows, "statistics": statistics.tolist(),
+            "p_values": p_values.tolist()}
+
+
+def _warm_calls():
+    # Gaussian calls, then mix2cauchy ones, at n = 400 on one shared grid
+    grid = build_grid(make_spec(400, 2, symmetrize=True))
+    rng = np.random.default_rng(20261020)
+    out = []
+    for law in ("gauss", "gauss", "gauss", "mix2cauchy", "mix2cauchy", "mix2cauchy"):
+        x, y = (sample(make_law(law), 200, rng) for _ in range(2))
+        result = two_sample_test(x, y + 0.1, grid=grid)
+        out.append([result.statistic, result.p_value])
+    return out
 
 
 def compute():
@@ -122,6 +156,12 @@ def compute():
     out["null_distribution"] = {
         m: stats.tolist() for m, stats in run_null_distribution(NULL_CONFIG).items()
     }
+    out["warm_power_study"] = _warm_power_study()
+    out["warm_null_distribution"] = {
+        m: stats.tolist()
+        for m, stats in run_null_distribution(WARM_NULL_CONFIG).items()
+    }
+    out["warm_calls"] = _warm_calls()
     return out
 
 
@@ -131,7 +171,7 @@ def frozen():
 
 
 def test_frozen_file_covers_every_case(frozen):
-    assert set(frozen) == set(CASES) | {"power_study", "null_distribution"}
+    assert set(frozen) == set(CASES) | STUDIES
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -149,6 +189,19 @@ def test_power_study_equals_frozen(frozen):
 def test_null_distribution_equals_frozen(frozen):
     got = {m: s.tolist() for m, s in run_null_distribution(NULL_CONFIG).items()}
     assert got == frozen["null_distribution"]
+
+
+def test_warm_power_study_equals_frozen(frozen):
+    assert _warm_power_study() == frozen["warm_power_study"]
+
+
+def test_warm_null_distribution_equals_frozen(frozen):
+    got = {m: s.tolist() for m, s in run_null_distribution(WARM_NULL_CONFIG).items()}
+    assert got == frozen["warm_null_distribution"]
+
+
+def test_warm_calls_on_a_shared_grid_equal_frozen(frozen):
+    assert _warm_calls() == frozen["warm_calls"]
 
 
 if __name__ == "__main__":

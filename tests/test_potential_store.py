@@ -1,11 +1,12 @@
-"""The exact column potentials kept per gridpoint set for later assignments.
+"""The last solved sample kept per gridpoint set to warm-start the next one.
 
 A potential only shifts columns of the cost matrix, so whatever the store
 of a gridpoint set holds, every assignment must equal SciPy's dense
 optimum on the same centred cost matrix; these tests check that, that
-the store is keyed by the gridpoints and bounded, and that the solver's
-guard turns down a potential from a sample of another shape without the
-store giving it up.
+the neighbour guess offered from the kept sample is the relaxation it
+claims to be, that the store is keyed by the gridpoints and bounded,
+and that the solver's guard turns down a guess from a sample of another
+shape while the store moves on to the latest sample.
 """
 
 import sys
@@ -15,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial import cKDTree
 
 from corank import (
     InvalidInputError,
@@ -77,6 +79,23 @@ def _jacobi_duals(cost, assigned, v0):
     return v
 
 
+def _cost_guess(cost, assigned, points):
+    # the neighbour relaxation read off the cost matrix itself
+    m = cost.shape[0]
+    near = cKDTree(points).query(points, k=center_outward.NEIGHBOURS + 1)[1]
+    owner = np.empty(m, dtype=np.intp)
+    owner[assigned] = np.arange(m)
+    rows = owner[near]
+    step = cost[rows, np.arange(m)[:, None]] - cost[rows, near]
+    v = np.zeros(m)
+    for _ in range(m):
+        relaxed = np.minimum(v, (step + v[near]).min(axis=1))
+        if np.array_equal(relaxed, v):
+            break
+        v = relaxed
+    return v
+
+
 @pytest.mark.parametrize("m", [5, 60, 100, 250])
 def test_column_duals_equal_full_scan_and_are_exact(m):
     rng = np.random.default_rng(m)
@@ -96,16 +115,19 @@ def test_column_duals_equal_full_scan_and_are_exact(m):
 @pytest.mark.parametrize("d", [2, 4])
 @pytest.mark.parametrize("m", [250, 400, 1000])
 def test_recovery_from_the_neighbour_guess_is_exact(m, d, law):
-    # the store's first sample on a grid, as the next call recovers it
+    # the store's latest sample on a grid, as the next call guesses from it
     grid = build_grid(make_spec(m, d, symmetrize=True))
     empirical_map(_draw(law, m, d, [m, d, 91]), grid)
-    z, assigned = _store(grid)["pending"]
+    z, assigned = _store(grid)["latest"]
     cost = squared_cost(z, grid)
-    guess = center_outward._neighbour_guess(cost, assigned, grid.points)
+    table = center_outward._neighbour_table(grid.points)
+    guess = center_outward._neighbour_guess(z, assigned, table)
+    tol = 1e-12 * np.abs(cost).max()
+    # the same relaxation as on the cost matrix, without forming it
+    assert np.abs(guess - _cost_guess(cost, assigned, grid.points)).max() <= tol
     v = assignment._column_duals(cost, assigned, guess)
     u = cost[np.arange(m), assigned] - v[assigned]
     reduced = cost - u[:, None] - v
-    tol = 1e-12 * np.abs(cost).max()
     assert reduced.min() >= -tol
     assert np.abs(reduced[np.arange(m), assigned]).max() <= tol
     from_zero = assignment._column_duals(cost, assigned, np.zeros(m))
@@ -126,7 +148,7 @@ def test_reused_grid_matches_dense_solver(n, d):
         z[n // 2:] += 0.1 * k
         com = empirical_map(z, grid)
         assert np.array_equal(com.assignment, _dense(z, grid, com.offset))
-    assert _store(grid)["kept"] is not None
+    assert _store(grid)["latest"][1] is com.assignment
 
 
 def test_any_potential_gives_the_optimum(monkeypatch):
@@ -154,14 +176,14 @@ def test_any_potential_gives_the_optimum(monkeypatch):
 
 
 def test_poisoned_store_still_gives_the_optimum():
-    # a random potential scaled by the largest cost, and a store filled
-    # by co-sphericized calls
+    # a far-off sample under a random, non-optimal pairing, and a store
+    # filled by co-sphericized calls
     n = 400
     grid = build_grid(make_spec(n, 2, symmetrize=True))
     rng = np.random.default_rng(12)
     z = _draw("mix2cauchy", n, 2, 13)
-    big = squared_cost(z, grid).max()
-    center_outward._store_for(grid.points)["kept"] = rng.uniform(-1.0, 1.0, n) * big
+    center_outward._store_for(grid.points)["latest"] = (
+        rng.uniform(-1.0, 1.0, (n, 2)) * 1e6, rng.permutation(n))
     com = empirical_map(z, grid)
     assert np.array_equal(com.assignment, _dense(z, grid, com.offset))
 
@@ -169,7 +191,7 @@ def test_poisoned_store_still_gives_the_optimum():
     for k in range(3):
         w = _draw("mix2cauchy", n, 2, [14, k])
         empirical_map(sphericize(w, sample_covariance(w), root="cholesky"), grid)
-    assert _store(grid)["kept"] is not None
+    assert _store(grid)["latest"] is not None
     for k in range(3):
         w = _draw("mix2cauchy", n, 2, [15, k])
         com = empirical_map(w, grid)
@@ -188,13 +210,13 @@ def test_study_does_not_depend_on_replication_order():
         x, y = sample(law, 150, rng), sample(law, 150, rng)
         for j, delta in enumerate(config.deltas):
             backward[j] += two_sample_test(x, shift(y, delta), grid=grid).p_value < 0.05
-    assert _store(grid)["kept"] is not None
+    assert _store(grid)["latest"] is not None
     assert forward == backward.tolist()
 
 
 def _count_calls(monkeypatch):
-    # spies on the subproblem and on the store's recovery
-    counts = {"subproblem": 0, "recover": 0}
+    # spies on the subproblem and on the guess from the store's latest sample
+    counts = {"subproblem": 0, "guess": 0}
 
     def spy(key, fn):
         def wrapped(*args):
@@ -204,25 +226,28 @@ def _count_calls(monkeypatch):
 
     monkeypatch.setattr(assignment, "_column_potential",
                         spy("subproblem", assignment._column_potential))
-    monkeypatch.setattr(center_outward, "_column_duals",
-                        spy("recover", center_outward._column_duals))
+    monkeypatch.setattr(center_outward, "_neighbour_guess",
+                        spy("guess", center_outward._neighbour_guess))
     return counts
 
 
-def test_default_calls_at_one_size_recover_once(monkeypatch):
+def test_default_calls_at_one_size_run_the_subproblem_once(monkeypatch):
     counts = _count_calls(monkeypatch)
-    law = make_law("mix2cauchy")
+    law = make_law("gauss")
     rng = np.random.default_rng(31)
     groups = [sample(law, 200, rng) for _ in range(4)]
     for x, y in (groups[:2], groups[2:]):
         two_sample_test(x, y)  # builds its own grid
-    # the first call runs the subproblem, the second recovers its duals
-    assert counts == {"subproblem": 1, "recover": 1}
-    # a grid built separately on the same points solves from them at once
+    # the first call runs the subproblem, the second starts from its sample
+    assert counts == {"subproblem": 1, "guess": 1}
+    table = _store(build_grid(make_spec(400, 2, symmetrize=True)))["table"]
+    # a grid built separately on the same points starts from the latest
+    # sample at once, and the neighbour table is built once per store
     grid = build_grid(make_spec(400, 2, symmetrize=True))
     for x, y in (groups[:2], groups[2:]) * 2:
         two_sample_test(x, y, grid=grid)
-    assert counts == {"subproblem": 1, "recover": 1}
+    assert counts == {"subproblem": 1, "guess": 5}
+    assert _store(grid)["table"] is table
 
 
 def test_guard_turns_down_a_potential_of_another_shape(monkeypatch):
@@ -230,41 +255,38 @@ def test_guard_turns_down_a_potential_of_another_shape(monkeypatch):
     grid = build_grid(make_spec(n, 2, symmetrize=True))
     for k in range(2):
         empirical_map(_draw("gauss", n, 2, [81, k]), grid)
-    kept = _store(grid)["kept"]
     counts = _count_calls(monkeypatch)
     w = _draw("mix2cauchy", n, 2, 82)
     w = sphericize(w, sample_covariance(w), root="cholesky")
     com = empirical_map(w, grid)
     assert np.array_equal(com.assignment, _dense(w, grid, com.offset))
-    assert counts == {"subproblem": 1, "recover": 0}
-    # one rejection leaves the kept potential in place
-    assert _store(grid)["kept"] is kept and "pending" not in _store(grid)
+    assert counts == {"subproblem": 1, "guess": 1}
+    # the turned-down call's sample is the latest all the same, so the
+    # next Gaussian call starts from it and is turned down in turn
+    assert _store(grid)["latest"][1] is com.assignment
     z = _draw("gauss", n, 2, 83)
     com = empirical_map(z, grid)
     assert np.array_equal(com.assignment, _dense(z, grid, com.offset))
-    assert counts == {"subproblem": 1, "recover": 0}
+    assert counts == {"subproblem": 2, "guess": 2}
 
 
-def test_turned_down_calls_leave_the_potential_kept(monkeypatch):
+def test_a_law_switch_costs_one_subproblem(monkeypatch):
+    # sphericized shifts of one heavy-tailed draw after Gaussian calls,
+    # as in one replication of a co-sphericized study
     n = 400
     grid = build_grid(make_spec(n, 2, symmetrize=True))
     for k in range(2):
         empirical_map(_draw("gauss", n, 2, [84, k]), grid)
-    kept = _store(grid)["kept"]
     counts = _count_calls(monkeypatch)
+    base = _draw("mix2cauchy", n, 2, 85)
     for k in range(7):
-        w = _draw("mix2cauchy", n, 2, [85, k])
+        w = base.copy()
+        w[n // 2:] += 0.05 * k
         w = sphericize(w, sample_covariance(w), root="cholesky")
         com = empirical_map(w, grid)
         assert np.array_equal(com.assignment, _dense(w, grid, com.offset))
-    # every call was turned down and ran the subproblem; none replaced
-    # the kept potential or left a sample to recover
-    assert counts == {"subproblem": 7, "recover": 0}
-    assert _store(grid)["kept"] is kept and "pending" not in _store(grid)
-    z = _draw("gauss", n, 2, 86)
-    com = empirical_map(z, grid)
-    assert np.array_equal(com.assignment, _dense(z, grid, com.offset))
-    assert counts == {"subproblem": 7, "recover": 0}
+    # only the first call, guessed from a Gaussian sample, was turned down
+    assert counts == {"subproblem": 1, "guess": 7}
 
 
 def test_duplicated_rows_never_meet_the_store():
@@ -278,7 +300,7 @@ def test_duplicated_rows_never_meet_the_store():
     for _ in range(3):
         two_sample_test(sample(law, 150, rng), sample(law, 150, rng), grid=grid)
     store = dict(_store(grid))
-    assert store["kept"] is not None
+    assert store["latest"] is not None
     again = two_sample_test(x, y, grid=grid)
     assert again.statistic == fresh.statistic
     assert again.p_value == fresh.p_value
@@ -289,7 +311,7 @@ def test_duplicated_rows_never_meet_the_store():
 def test_grids_with_equal_points_share_one_store():
     grid = build_grid(make_spec(300, 2, symmetrize=True))
     empirical_map(_draw("gauss", 300, 2, 51), grid)
-    assert _store(grid)["pending"]
+    assert _store(grid)["latest"]
     assert _store(build_grid(grid.spec)) is _store(grid)
     # other points, rotated or with other tie-break points, have none yet
     c, s = np.cos(0.1), np.sin(0.1)
@@ -388,8 +410,8 @@ def _run_threads(jobs):
 
 
 def test_threads_sharing_a_grid_get_the_optimum():
-    # concurrent calls may repeat a recovery, never lose an optimum,
-    # and never raise
+    # concurrent calls may guess from any earlier sample or build the
+    # neighbour table twice, never lose an optimum, and never raise
     n = 300
     grid = build_grid(make_spec(n, 2, symmetrize=True))
     samples = [_draw(law, n, 2, [61, k]) for k, law in enumerate(LAWS * 4)]
@@ -403,7 +425,7 @@ def test_threads_sharing_a_grid_get_the_optimum():
     assert _run_threads([lambda j=j: work(j) for j in range(4)]) == []
     for k in range(len(samples)):
         assert np.array_equal(got[k], want[k])
-    assert _store(grid)["kept"] is not None
+    assert _store(grid)["latest"] is not None
 
 
 def test_threads_building_their_own_grids_get_the_optimum():

@@ -306,3 +306,35 @@ def test_power_study_scores_its_grid_once(monkeypatch):
     ))
     assert len(calls) == 1
     assert len(designs) <= 1  # none when an earlier call made this design
+
+
+def test_each_method_runs_every_delta_of_a_replication_in_turn(monkeypatch):
+    # a method's calls on one replication follow each other on the study
+    # grid, so each starts warm from the one before
+    calls = []
+    co = simulation.two_sample_test
+    sphericized = simulation.sphericized_center_outward_test
+
+    def spy_co(x, y, *args, **kwargs):
+        calls.append(("co", y[0, 0]))
+        return co(x, y, *args, **kwargs)
+
+    def spy_sphericized(groups, *args, **kwargs):
+        calls.append(("co-sphericized", groups[1][0, 0]))
+        return sphericized(groups, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "two_sample_test", spy_co)
+    monkeypatch.setattr(simulation, "sphericized_center_outward_test", spy_sphericized)
+    cfg = small_config(deltas=(0.0, 0.3, 0.6), methods=("co", "co-sphericized"),
+                       n_replications=2)
+    statistics, _ = simulation._replicate(cfg)
+    want = []
+    for r in range(2):
+        rng = np.random.default_rng([cfg.master_seed, r])
+        x, y = (sample(make_law(cfg.law), nk, rng) for nk in cfg.sizes)
+        want += [(m, y[0, 0] + delta) for m in cfg.methods for delta in cfg.deltas]
+        # the record keeps its (method, delta, replication) indices
+        grid = build_grid(make_spec(24, 2, symmetrize=True), tie_break_seed=17)
+        for j, delta in enumerate(cfg.deltas):
+            assert statistics[0, j, r] == two_sample_test(x, y + delta, grid=grid).statistic
+    assert calls == want
