@@ -328,13 +328,13 @@ def test_each_method_runs_every_delta_of_a_replication_in_turn(monkeypatch):
     cfg = small_config(deltas=(0.0, 0.3, 0.6), methods=("co", "co-sphericized"),
                        n_replications=2)
     statistics, _ = simulation._replicate(cfg)
+    grid = build_grid(make_spec(24, 2, symmetrize=True), tie_break_seed=17)
     want = []
     for r in range(2):
         rng = np.random.default_rng([cfg.master_seed, r])
         x, y = (sample(make_law(cfg.law), nk, rng) for nk in cfg.sizes)
         want += [(m, y[0, 0] + delta) for m in cfg.methods for delta in cfg.deltas]
         # the record keeps its (method, delta, replication) indices
-        grid = build_grid(make_spec(24, 2, symmetrize=True), tie_break_seed=17)
         for j, delta in enumerate(cfg.deltas):
             assert statistics[0, j, r] == two_sample_test(x, y + delta, grid=grid).statistic
     assert calls == want
