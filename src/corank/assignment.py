@@ -213,7 +213,9 @@ def solve_assignment(cost, *, potential=None):
         used only if it passes the collision guard (``KEEP_RATIO``);
         otherwise, and without one, a coarse-subproblem potential is
         used from ``WARM_START_MIN_N`` on.  Any finite potential gives
-        the same optimum; a poor one only costs time.
+        an optimum of the same total cost; a poor one only costs time.
+        When several bijections attain it, which one comes back can
+        depend on the potential.
 
     Ties between optimal bijections are broken in an unspecified but
     deterministic way (same input and potential, same output).

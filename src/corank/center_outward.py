@@ -11,8 +11,6 @@ any statistic built on them is a pure function of the assignment.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,18 +20,15 @@ from .assignment import WARM_START_MIN_N, solve_assignment, squared_cost
 from .errors import InvalidInputError, InvalidSpecError
 from .sphere_grid import Grid, GridSpec, RanksSigns, build_grid
 
-# Gridpoint sets whose last solved sample is kept; past this many, the
-# least recently used set's store is dropped.
-STORE_SIZE = 4
-
 # Nearest other gridpoints per gridpoint whose constraints give the
 # warm start its guess.
 NEIGHBOURS = 8
 
-# (points.shape, points.tobytes()) -> that gridpoint set's store, least
-# recently used first; the lock guards reordering and eviction
-_stores = OrderedDict()
-_stores_lock = threading.Lock()
+# (points, z, assignment, table) of the last solve from WARM_START_MIN_N
+# observations on without repeated rows: its gridpoints, scaled sample
+# and optimal pairing, and the points' neighbour table, None until a
+# call on those points guesses
+_latest = None
 
 
 @dataclass(frozen=True)
@@ -91,20 +86,6 @@ def _spread(z):
     return (top, spread) if spread > 0.0 else (1.0, 1.0)
 
 
-def _store_for(points):
-    """The store kept for this gridpoint set, made if it has none."""
-    key = (points.shape, points.tobytes())
-    with _stores_lock:
-        store = _stores.get(key)
-        if store is None:
-            store = _stores[key] = {}
-            if len(_stores) > STORE_SIZE:
-                _stores.popitem(last=False)
-        else:
-            _stores.move_to_end(key)
-    return store
-
-
 def _neighbour_table(points):
     """Each gridpoint's nearest gridpoints and the parts of its guess steps.
 
@@ -150,20 +131,21 @@ def _neighbour_guess(z, assignment, table):
     return v
 
 
-def _warm_start(store, points):
-    """A potential guessed from the store's last sample, or None if it has none.
+def _warm_start(points):
+    """A potential guessed from the last solve and the neighbour table used.
 
-    Every update replaces a whole entry, so concurrent calls can at
-    worst guess from another call's sample or build the table twice,
-    which costs only time.
+    Both are None unless the slot holds these points.  The slot is read
+    once and only ever replaced whole, so concurrent calls can at worst
+    guess from another call's sample or build the table twice, which
+    costs only time.
     """
-    latest = store.get("latest")
-    if latest is None:
-        return None
-    table = store.get("table")
+    latest = _latest
+    if latest is None or not np.array_equal(latest[0], points):
+        return None, None
+    _, z, assignment, table = latest
     if table is None:
-        table = store["table"] = _neighbour_table(points)
-    return _neighbour_guess(*latest, table)
+        table = _neighbour_table(points)
+    return _neighbour_guess(z, assignment, table), table
 
 
 def empirical_map(sample, grid, tie_break_seed=0):
@@ -208,27 +190,29 @@ def empirical_map(sample, grid, tie_break_seed=0):
     Every cost matrix on one set of gridpoints is thus in one frame, so
     the optimal pairing of one sample is a good warm start for the
     next.  From ``assignment.WARM_START_MIN_N`` observations on, the
-    module keeps the last scaled sample solved on each gridpoint set
-    and its assignment, keyed by the points themselves, so separately
-    built grids with equal points share them, and a call that builds
-    its own grid from a GridSpec starts warm from the second call at
-    that size on.  It keeps ``STORE_SIZE`` sets and drops the least
-    recently used one.  A call relaxes the kept pairing's dual
+    module keeps the gridpoints, scaled sample and assignment of the
+    last solve in one slot.  A call on equal gridpoints, whether the
+    grid is reused or rebuilt, relaxes the kept pairing's dual
     constraints along each gridpoint's ``NEIGHBOURS`` nearest
     gridpoints (``_neighbour_guess``; the neighbour table is built once
-    per set) and offers the result to the dense solve, which uses it
-    only if it passes its collision guard (see ``assignment``).
-    Whatever the guard decides, the call's own sample and assignment
-    then replace the kept ones.  So the deltas of one power-study
-    replication, which share their draws, start from near-exact duals;
-    a switch of law costs one call on the subproblem path; and two
-    shapes of data taking turns on one gridpoint set start cold every
-    time.  A sample with repeated rows has several optimal
-    assignments, so it neither reads nor writes the store, and the one
-    returned never depends on what ran before.  The store never changes
-    an assignment otherwise either: any potential leads to the same
-    optimum.
+    and kept while the gridpoints stay the same) and offers the result
+    to the dense solve, which uses it only if it passes its collision
+    guard (see ``assignment``).  Whatever the guard decides, the call's
+    own solve then replaces the kept one.  So the deltas of one
+    power-study replication, which share their draws, start from
+    near-exact duals; a call that builds its own grid from a GridSpec
+    starts warm from the second call at that size on; a switch of law
+    costs one call on the subproblem path; and two shapes of data, or
+    two gridpoint sets, taking turns start cold every time.  A sample
+    with repeated rows has several optimal assignments, so it neither
+    reads nor writes the slot, and the one returned never depends on
+    what ran before.  Otherwise the slot never changes the optimal
+    total cost, since any potential leads to an optimum; but when
+    several pairings attain it, as distinct lattice rows on the d = 2
+    grid can, which one comes back can depend on the last solve on the
+    same gridpoints (ROADMAP Direction 2).
     """
+    global _latest
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 2:
         raise InvalidInputError(f"sample must be 2-d, got shape {sample.shape}")
@@ -256,11 +240,10 @@ def empirical_map(sample, grid, tie_break_seed=0):
     ):
         assignment = solve_assignment(squared_cost(z, grid.points)).assignment
     else:
-        store = _store_for(grid.points)
-        guess = _warm_start(store, grid.points)
+        guess, table = _warm_start(grid.points)
         cost = squared_cost(z, grid.points)
         assignment = solve_assignment(cost, potential=guess).assignment
-        store["latest"] = (z, assignment)
+        _latest = (grid.points, z, assignment, table)
     values = grid.points[assignment]
     with np.errstate(over="ignore"):  # inf once the spread passes about 1e154
         total_cost = float(((sample - values) ** 2).sum(axis=1).sum())

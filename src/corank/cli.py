@@ -108,6 +108,11 @@ def _numeric_matrix(path, header, rows, columns):
                     f"{path}: non-numeric value {cell!r} at row {i}, "
                     f"column {header[col]!r}"
                 ) from None
+            if not np.isfinite(out[i - 2, j]):
+                raise DataError(
+                    f"{path}: non-finite value {cell!r} at row {i}, "
+                    f"column {header[col]!r}"
+                )
     return out
 
 

@@ -156,12 +156,15 @@ def make_law(name):
         return _FIXED_LAWS[name]()
     match = re.fullmatch(r"skewt(\d+(?:\.\d+)?)", name)
     if match:
+        df = float(match.group(1))
+        if df <= 0.0:
+            raise InvalidSpecError(f"law {name!r}: skew-t df must be > 0")
         return SkewTLaw(
             name=name,
             slant=np.array([5.0, -3.0]),
             scale=np.array([[1.0, -0.5], [-0.5, 1.0]]),
             shift=np.zeros(2),
-            df=float(match.group(1)),
+            df=df,
         )
     raise InvalidSpecError(
         f"unknown law {name!r}; expected one of {sorted(_FIXED_LAWS)} or skewt<df>"

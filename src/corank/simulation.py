@@ -148,6 +148,7 @@ class SimConfig:
                 object.__setattr__(self, key, convert(value))
             except (TypeError, ValueError) as err:
                 raise InvalidSpecError(f"{key}: {err}") from None
+        make_law(self.law)  # raises on an unknown law or a skew-t df <= 0
         if self.study == "two_sample" and len(self.sizes) != 2:
             raise InvalidSpecError("a two-sample study needs exactly 2 group sizes")
         if len(self.sizes) < 2 or any(v < 2 for v in self.sizes):

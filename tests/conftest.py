@@ -1,4 +1,4 @@
-"""Shared fixtures for the expensive Monte Carlo computations.
+"""Shared fixtures: an empty warm-start slot, and the Monte Carlo loops.
 
 The three session fixtures below are consumed both by the module tests
 and by the acceptance suite, so the heavy replication loops run once per
@@ -10,6 +10,19 @@ import numpy as np
 import pytest
 
 import corank
+from corank import center_outward
+
+
+@pytest.fixture(autouse=True)
+def empty_store():
+    """Start and leave every test with an empty warm-start slot.
+
+    The slot is process-wide, so a test that counts solver paths or uses
+    tied data would otherwise depend on which test ran before it.
+    """
+    center_outward._latest = None
+    yield
+    center_outward._latest = None
 
 
 @pytest.fixture(scope="session")

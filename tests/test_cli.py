@@ -279,6 +279,20 @@ def test_non_numeric_cell_reports_row(tmp_path, capsys):
     assert "oops" in err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_cell_reports_row_and_column(tmp_path, capsys, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"y1,y2\n1,2\n3,4\n5,{cell}\n7,8\n9,10\n")
+    other = tmp_path / "ok.csv"
+    write_csv(other, ["y1", "y2"], np.random.default_rng(65).standard_normal((5, 2)))
+    code = main(["two-sample", "--input", str(path), str(other)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "row 4" in err and "'y2'" in err
+    assert repr(cell) in err
+
+
 def test_empty_and_short_files(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -440,12 +454,13 @@ def test_simulate_bad_config_is_usage_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(cpath)]) == 1
     assert "laws" in capsys.readouterr().err
     # unknown names are rejected before any replication runs
-    for bad in ({"score": "bogus"},
-                {"scatter": "bogus", "methods": ["co-sphericized"]}):
+    for bad, name in (({"score": "bogus"}, "bogus"),
+                      ({"scatter": "bogus", "methods": ["co-sphericized"]}, "bogus"),
+                      ({"law": "nosuch"}, "nosuch"), ({"law": "skewt0"}, "skewt0")):
         cpath.write_text(json.dumps(bad))
         assert main(["simulate", "--config", str(cpath)]) == 1
         err = capsys.readouterr().err
-        assert "'bogus'" in err and "replication" not in err
+        assert f"'{name}'" in err and "replication" not in err
     # so are fields of the wrong type, without a traceback
     for key, value in (("sizes", "50,50"), ("n_replications", "5"),
                        ("deltas", 0.1), ("alpha", "0.05"),

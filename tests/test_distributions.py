@@ -23,7 +23,7 @@ def test_all_named_laws_resolve_and_sample():
 def test_skewt_df_suffix_parsing():
     assert make_law("skewt3").df == 3.0
     assert make_law("skewt1.1").df == 1.1
-    for bad in ("skewt", "skewt-1", "cauchy", "skewtx", "SKEWT3"):
+    for bad in ("skewt", "skewt-1", "cauchy", "skewtx", "SKEWT3", "skewt0", "skewt0.0"):
         with pytest.raises(InvalidSpecError):
             make_law(bad)
 

@@ -1,12 +1,13 @@
-"""The last solved sample kept per gridpoint set to warm-start the next one.
+"""The last solve kept in one slot to warm-start the next one.
 
-A potential only shifts columns of the cost matrix, so whatever the store
-of a gridpoint set holds, every assignment must equal SciPy's dense
-optimum on the same centred cost matrix; these tests check that, that
-the neighbour guess offered from the kept sample is the relaxation it
-claims to be, that the store is keyed by the gridpoints and bounded,
-and that the solver's guard turns down a guess from a sample of another
-shape while the store moves on to the latest sample.
+A potential only shifts columns of the cost matrix, so whatever the slot
+holds, every assignment must equal SciPy's dense optimum on the same
+centred cost matrix; these tests check that, that the neighbour guess
+offered from the kept sample is the relaxation it claims to be, that
+only a call on the kept gridpoints guesses from it, and that the
+solver's guard turns down a guess from a sample of another shape while
+the slot moves on to the latest solve.  The slot is emptied before and
+after every test (``conftest.empty_store``).
 """
 
 import sys
@@ -41,18 +42,12 @@ from oracles import rotate_grid
 LAWS = ("gauss", "t3", "mix2cauchy")
 
 
-@pytest.fixture(autouse=True)
-def empty_store():
-    # the store is process-wide; each test starts and leaves it empty
-    center_outward._stores.clear()
-    yield
-    center_outward._stores.clear()
-
-
 def _store(grid):
-    # the store of the grid's points, without making or touching one
-    points = grid.points
-    return center_outward._stores.get((points.shape, points.tobytes()))
+    # the slot (points, z, assignment, table) if it holds the grid's points
+    latest = center_outward._latest
+    if latest is None or not np.array_equal(latest[0], grid.points):
+        return None
+    return latest
 
 
 def _draw(law, n, d, seed):
@@ -115,10 +110,10 @@ def test_column_duals_equal_full_scan_and_are_exact(m):
 @pytest.mark.parametrize("d", [2, 4])
 @pytest.mark.parametrize("m", [250, 400, 1000])
 def test_recovery_from_the_neighbour_guess_is_exact(m, d, law):
-    # the store's latest sample on a grid, as the next call guesses from it
+    # the slot's sample on a grid, as the next call guesses from it
     grid = build_grid(make_spec(m, d, symmetrize=True))
     empirical_map(_draw(law, m, d, [m, d, 91]), grid)
-    z, assigned = _store(grid)["latest"]
+    _, z, assigned, _ = _store(grid)
     cost = squared_cost(z, grid)
     table = center_outward._neighbour_table(grid.points)
     guess = center_outward._neighbour_guess(z, assigned, table)
@@ -148,7 +143,7 @@ def test_reused_grid_matches_dense_solver(n, d):
         z[n // 2:] += 0.1 * k
         com = empirical_map(z, grid)
         assert np.array_equal(com.assignment, _dense(z, grid, com.offset))
-    assert _store(grid)["latest"][1] is com.assignment
+    assert _store(grid)[2] is com.assignment
 
 
 def test_any_potential_gives_the_optimum(monkeypatch):
@@ -182,16 +177,16 @@ def test_poisoned_store_still_gives_the_optimum():
     grid = build_grid(make_spec(n, 2, symmetrize=True))
     rng = np.random.default_rng(12)
     z = _draw("mix2cauchy", n, 2, 13)
-    center_outward._store_for(grid.points)["latest"] = (
-        rng.uniform(-1.0, 1.0, (n, 2)) * 1e6, rng.permutation(n))
+    center_outward._latest = (
+        grid.points, rng.uniform(-1.0, 1.0, (n, 2)) * 1e6, rng.permutation(n), None)
     com = empirical_map(z, grid)
     assert np.array_equal(com.assignment, _dense(z, grid, com.offset))
 
-    center_outward._stores.clear()
+    center_outward._latest = None
     for k in range(3):
         w = _draw("mix2cauchy", n, 2, [14, k])
         empirical_map(sphericize(w, sample_covariance(w), root="cholesky"), grid)
-    assert _store(grid)["latest"] is not None
+    assert _store(grid) is not None
     for k in range(3):
         w = _draw("mix2cauchy", n, 2, [15, k])
         com = empirical_map(w, grid)
@@ -210,12 +205,12 @@ def test_study_does_not_depend_on_replication_order():
         x, y = sample(law, 150, rng), sample(law, 150, rng)
         for j, delta in enumerate(config.deltas):
             backward[j] += two_sample_test(x, shift(y, delta), grid=grid).p_value < 0.05
-    assert _store(grid)["latest"] is not None
+    assert _store(grid) is not None
     assert forward == backward.tolist()
 
 
 def _count_calls(monkeypatch):
-    # spies on the subproblem and on the guess from the store's latest sample
+    # spies on the subproblem and on the guess from the slot's sample
     counts = {"subproblem": 0, "guess": 0}
 
     def spy(key, fn):
@@ -240,14 +235,15 @@ def test_default_calls_at_one_size_run_the_subproblem_once(monkeypatch):
         two_sample_test(x, y)  # builds its own grid
     # the first call runs the subproblem, the second starts from its sample
     assert counts == {"subproblem": 1, "guess": 1}
-    table = _store(build_grid(make_spec(400, 2, symmetrize=True)))["table"]
+    table = _store(build_grid(make_spec(400, 2, symmetrize=True)))[3]
+    assert table is not None
     # a grid built separately on the same points starts from the latest
-    # sample at once, and the neighbour table is built once per store
+    # sample at once, and the neighbour table is kept with the points
     grid = build_grid(make_spec(400, 2, symmetrize=True))
     for x, y in (groups[:2], groups[2:]) * 2:
         two_sample_test(x, y, grid=grid)
     assert counts == {"subproblem": 1, "guess": 5}
-    assert _store(grid)["table"] is table
+    assert _store(grid)[3] is table
 
 
 def test_guard_turns_down_a_potential_of_another_shape(monkeypatch):
@@ -263,7 +259,7 @@ def test_guard_turns_down_a_potential_of_another_shape(monkeypatch):
     assert counts == {"subproblem": 1, "guess": 1}
     # the turned-down call's sample is the latest all the same, so the
     # next Gaussian call starts from it and is turned down in turn
-    assert _store(grid)["latest"][1] is com.assignment
+    assert _store(grid)[2] is com.assignment
     z = _draw("gauss", n, 2, 83)
     com = empirical_map(z, grid)
     assert np.array_equal(com.assignment, _dense(z, grid, com.offset))
@@ -299,41 +295,57 @@ def test_duplicated_rows_never_meet_the_store():
     law = make_law("t3")
     for _ in range(3):
         two_sample_test(sample(law, 150, rng), sample(law, 150, rng), grid=grid)
-    store = dict(_store(grid))
-    assert store["latest"] is not None
+    kept = center_outward._latest
+    assert _store(grid) is kept is not None
     again = two_sample_test(x, y, grid=grid)
     assert again.statistic == fresh.statistic
     assert again.p_value == fresh.p_value
-    assert _store(grid).keys() == store.keys()
-    assert all(_store(grid)[key] is store[key] for key in store)
+    assert center_outward._latest is kept
 
 
-def test_grids_with_equal_points_share_one_store():
+def test_grids_with_equal_points_share_one_store(monkeypatch):
     grid = build_grid(make_spec(300, 2, symmetrize=True))
-    empirical_map(_draw("gauss", 300, 2, 51), grid)
-    assert _store(grid)["latest"]
+    z = _draw("gauss", 300, 2, 51)
+    empirical_map(z, grid)
+    assert _store(grid) is not None
     assert _store(build_grid(grid.spec)) is _store(grid)
-    # other points, rotated or with other tie-break points, have none yet
+    # a separately built grid with equal points guesses from the slot
+    counts = _count_calls(monkeypatch)
+    com = empirical_map(z + 0.01, build_grid(grid.spec))
+    assert np.array_equal(com.assignment, _dense(z + 0.01, grid, com.offset))
+    assert counts == {"subproblem": 0, "guess": 1}
+    assert _store(grid)[2] is com.assignment
+    # other points, rotated or with other tie-break points, replace the slot
     c, s = np.cos(0.1), np.sin(0.1)
-    assert _store(rotate_grid(grid, [[c, -s], [s, c]])) is None
+    rotated = rotate_grid(grid, [[c, -s], [s, c]])
     other = build_grid(grid.spec, tie_break_seed=1)
     assert not np.array_equal(other.points, grid.points)
-    assert _store(other) is None
-    empirical_map(_draw("gauss", 300, 2, 52), other)
-    assert _store(other) is not _store(grid)
+    for k, new in enumerate((rotated, other)):
+        assert _store(new) is None
+        w = _draw("gauss", 300, 2, [52, k])
+        com = empirical_map(w, new)
+        assert np.array_equal(com.assignment, _dense(w, new, com.offset))
+        assert _store(new)[2] is com.assignment
+        assert _store(grid) is None
+    assert counts == {"subproblem": 2, "guess": 1}
 
 
-def test_the_least_recently_used_store_is_dropped():
-    size = center_outward.STORE_SIZE
-    grids = [build_grid(make_spec(250 + k, 2, symmetrize=True))
-             for k in range(size + 1)]
-    for k, grid in enumerate(grids[:size]):
-        empirical_map(_draw("gauss", grid.n, 2, [53, k]), grid)
-    empirical_map(_draw("gauss", grids[0].n, 2, 54), grids[0])  # now the newest
-    empirical_map(_draw("gauss", grids[size].n, 2, 55), grids[size])
-    assert len(center_outward._stores) == size
-    assert _store(grids[1]) is None
-    assert all(_store(grid) is not None for grid in grids[:1] + grids[2:])
+def test_alternating_gridpoint_sets_run_the_subproblem_on_every_switch(monkeypatch):
+    # A and B have one shape but other tie-break points
+    a = build_grid(make_spec(300, 2, symmetrize=True))
+    b = build_grid(a.spec, tie_break_seed=1)
+    assert not np.array_equal(a.points, b.points)
+    counts = _count_calls(monkeypatch)
+    z = _draw("gauss", 300, 2, 53)
+    for k, grid in enumerate((a, b, a)):
+        w = z + 0.01 * k
+        com = empirical_map(w, grid)
+        assert np.array_equal(com.assignment, _dense(w, grid, com.offset))
+    assert counts == {"subproblem": 3, "guess": 0}
+    # a call on the same points as the last takes the guess path
+    com = empirical_map(z + 0.03, a)
+    assert np.array_equal(com.assignment, _dense(z + 0.03, a, com.offset))
+    assert counts == {"subproblem": 3, "guess": 1}
 
 
 def test_extreme_spreads_on_one_grid_neither_raise_nor_warn():
@@ -425,13 +437,13 @@ def test_threads_sharing_a_grid_get_the_optimum():
     assert _run_threads([lambda j=j: work(j) for j in range(4)]) == []
     for k in range(len(samples)):
         assert np.array_equal(got[k], want[k])
-    assert _store(grid)["latest"] is not None
+    assert _store(grid) is not None
 
 
 def test_threads_building_their_own_grids_get_the_optimum():
-    # each call builds its grid from a spec; more sizes than the store
-    # keeps, so stores are dropped while other threads use them
-    sizes = [250 + k for k in range(center_outward.STORE_SIZE + 2)]
+    # each call builds its grid from a spec; the sizes take turns, so the
+    # slot moves to other gridpoints while other threads use it
+    sizes = [250 + k for k in range(6)]
     calls = [(n, _draw(law, n, 2, [62, n, k]))
              for k, law in enumerate(LAWS) for n in sizes]
     want = [_dense(z, build_grid(make_spec(n, 2, symmetrize=True)),
@@ -446,19 +458,4 @@ def test_threads_building_their_own_grids_get_the_optimum():
     assert _run_threads([lambda j=j: work(j) for j in range(4)]) == []
     for k in range(len(calls)):
         assert np.array_equal(got[k], want[k])
-    assert len(center_outward._stores) == center_outward.STORE_SIZE
 
-
-def test_store_lookups_survive_concurrent_evictions():
-    # one more gridpoint set than the store keeps, so nearly every lookup
-    # evicts; without the lock a set found present can be evicted before
-    # it is moved to the end, and the move raises KeyError
-    size = center_outward.STORE_SIZE
-    points = [np.full((3, 2), float(k)) for k in range(size + 1)]
-
-    def work(j):
-        for i in range(10_000):
-            center_outward._store_for(points[(i + j) % len(points)])
-
-    assert _run_threads([lambda j=j: work(j) for j in range(8)]) == []
-    assert len(center_outward._stores) == size

@@ -71,6 +71,9 @@ def test_config_validation():
         SimConfig(score="bogus")
     with pytest.raises(InvalidSpecError, match="'bogus'"):
         SimConfig(methods=("co-sphericized",), scatter="bogus")
+    for law in ("nosuch", "skewt0"):
+        with pytest.raises(InvalidSpecError, match=f"'{law}'"):
+            SimConfig(law=law)
     # a field of the wrong type is a spec error naming the field
     for key, value in (("sizes", "50,50"), ("n_replications", "5"),
                        ("deltas", 0.1), ("alpha", "0.05")):
