@@ -42,28 +42,36 @@ of ``cost``.  A potential whose reduced matrix already spreads the row
 minima over more columns is close to the problem's own duals.  Below
 ``KEEP_RATIO`` the given potential is used; otherwise the call falls
 back to the subproblem (or the cold solve below ``WARM_START_MIN_N``).
-A potential that passes costs one extra argmin pass over ``cost``: the
-reduced matrix is formed anyway, and its row minima come from its
-argmin.  One that fails costs that matrix and both argmin passes on
-top of the subproblem path.
+The guard costs two argmin passes, one over ``cost`` and one over
+``cost - v`` formed ``_BLOCK_ROWS`` rows at a time; a potential that
+passes takes its row minima from the second.  One that fails costs
+those passes on top of the subproblem path.
 
-Timings on a 2-core x86 machine: the subproblem halves a one-off
-two-sample test at n = 1000 (median 436 ms to 214 ms) and cuts the bare
-solve 2-3.5x at n = 2000.  At n = 1000 (mix2cauchy, 3 solves, median of
-best-of-3) the SciPy finish takes 308 ms cold, 180 ms from the
-subproblem and 97 ms from the exact potential of another sample on the
-same gridpoints; recovering that potential from zeros took 91 ms.  The
-column reduction brings the finish from another sample's duals to a median
-0.9 of its time after the row reduction alone (n = 400 and 1000, d = 2
-and 4, gauss, t3 and mix2cauchy) and leaves the subproblem's finish
-within noise; repeated default calls at n = 1000 went from 131 to
-118 ms.  The neighbour guess costs about 1 ms at n = 400 and 3 ms at
-n = 1000, and finishes about as fast as the exact duals of the sample
-it is guessed from; from the previous delta's sample of a power study
-(mix2cauchy, n = 400) the finish takes about 6 ms, against 13-14 ms
-from an unrelated sample's exact duals.  Below ``WARM_START_MIN_N``
-the cold dense solve runs unless the caller passes a potential that
-passes the guard.
+A warm solve needs one n x n matrix.  SciPy reads only the dense matrix
+it is given, and nothing reads the raw entries once the potential is
+chosen, so with ``overwrite_cost`` (which ``empirical_map`` sets for the
+matrix it has just formed) the potential, the row minima and the column
+minima are subtracted from ``cost`` in place and SciPy solves that same
+buffer.  The guard's blocks leave ``cost`` raw until a potential is
+accepted, so a turned-down one hands the subproblem the very entries it
+would have had.  The subproblem's own ``n // 4`` square submatrix is
+solved on a copy, since ``_column_duals`` reads its raw entries
+afterwards.  Whether reduced in place or in a copy, SciPy receives the
+same matrix bit for bit, so ``overwrite_cost`` never changes the
+assignment.
+
+Timings on a 2-core x86 machine (``perfbench``, seed 1234, 25 s runs,
+alternating pairs against the same code with ``cost - v`` formed as a
+second matrix): the ``power_n400`` study (mix2cauchy, 200 + 200, three
+deltas on one grid) runs a median 29.6 replications a second against
+25.1 (10 pairs, all won), and a one-off two-sample test at n = 1000
+takes a median 116 ms against 124 (5 pairs), with peak resident memory
+113.9 against 119.6 MB.  The second matrix cost 1 779 minor page faults
+per ``power_n400`` replication; the single buffer costs none once the
+allocator has it.  Under ``tracemalloc`` one ``empirical_map`` call at
+n = 600 peaks at 1.20 (warm) and 1.34 (subproblem) times 8 n^2 bytes,
+against 2.10 and 2.03.  Below ``WARM_START_MIN_N`` the cold dense solve
+runs unless the caller passes a potential that passes the guard.
 """
 
 from __future__ import annotations
@@ -83,6 +91,10 @@ WARM_START_MIN_N = 250
 # collisions than this share of the cost matrix's own (see the module
 # docstring; the table behind the value is in CHANGES.md).
 KEEP_RATIO = 0.90
+
+# Rows of ``cost - potential`` the guard forms at a time, so that the
+# raw matrix stays untouched until a potential is accepted.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -168,41 +180,70 @@ def _column_potential(cost):
     rows = rng.choice(n, size=m, replace=False)
     cols = rng.choice(n, size=m, replace=False)
     sub = cost[np.ix_(rows, cols)]
-    assigned = _solve(sub)
+    assigned = _solve(sub)[0]
     v_sub = _column_duals(sub, assigned, np.zeros(m))
     coarse = cost[rows]
     coarse -= (sub[np.arange(m), assigned] - v_sub[assigned])[:, None]
     return coarse.min(axis=0)
 
 
+def _row_argmin(cost, potential):
+    """``(cost - potential).argmin(axis=1)``, formed ``_BLOCK_ROWS`` rows at a time."""
+    n = cost.shape[0]
+    nearest = np.empty(n, dtype=np.intp)
+    block = np.empty((min(_BLOCK_ROWS, n), n))
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        part = block[: stop - start]
+        np.subtract(cost[start:stop], potential, out=part)
+        part.argmin(axis=1, out=nearest[start:stop])
+    return nearest
+
+
 def _collisions(columns):
     """Rows whose minimizing column another row shares: ``n`` minus the distinct ones."""
-    return columns.shape[0] - np.unique(columns).shape[0]
+    n = columns.shape[0]
+    return n - np.count_nonzero(np.bincount(columns, minlength=n))
 
 
-def _finish(reduced, row_min):
+def _finish(reduced, row_min, potential):
+    """SciPy's columns for ``reduced = cost - potential``, and the constants subtracted."""
     # the dense solve runs on cost - u[:, None] - v with u = min_j (cost - v),
     # then on that minus its column minima, so every row and column has a zero
     reduced -= row_min[:, None]
-    reduced -= reduced.min(axis=0)
-    return linear_sum_assignment(reduced)[1]
+    col_min = reduced.min(axis=0)
+    reduced -= col_min
+    columns = linear_sum_assignment(reduced)[1]
+    # every row and every column lost one constant, so every bijection's
+    # total lost their sum
+    return columns, row_min.sum() + col_min.sum() + potential.sum()
 
 
-def _solve(cost, potential=None):
-    """Columns assigned to the rows of a validated square cost matrix."""
+def _solve(cost, potential=None, overwrite=False):
+    """Columns assigned to the rows of a validated square cost matrix.
+
+    Also returns the total of the constants subtracted from the assigned
+    entries on the way to the matrix SciPy solved (0 when it solved
+    ``cost`` as given).  With ``overwrite`` every reduction is made in
+    ``cost`` itself, which ends up holding that matrix; otherwise
+    ``cost`` is only read.  Either way SciPy receives the same matrix,
+    bit for bit.
+    """
+    out = cost if overwrite else None
     if potential is not None:
-        reduced = cost - potential
-        nearest = reduced.argmin(axis=1)
+        # blocked, so that cost stays raw for the subproblem until accepted
+        nearest = _row_argmin(cost, potential)
         if _collisions(nearest) < KEEP_RATIO * _collisions(cost.argmin(axis=1)):
-            return _finish(reduced, reduced[np.arange(cost.shape[0]), nearest])
-        del reduced  # freed before the subproblem path forms its own
+            row_min = cost[np.arange(cost.shape[0]), nearest] - potential[nearest]
+            return _finish(np.subtract(cost, potential, out=out), row_min, potential)
     if cost.shape[0] < WARM_START_MIN_N:
-        return linear_sum_assignment(cost)[1]
-    reduced = cost - _column_potential(cost)
-    return _finish(reduced, reduced.min(axis=1))
+        return linear_sum_assignment(cost)[1], 0.0
+    potential = _column_potential(cost)
+    reduced = np.subtract(cost, potential, out=out)
+    return _finish(reduced, reduced.min(axis=1), potential)
 
 
-def solve_assignment(cost, *, potential=None):
+def solve_assignment(cost, *, potential=None, overwrite_cost=False):
     """Exact minimum-cost bijection for a square cost matrix.
 
     Parameters
@@ -216,6 +257,18 @@ def solve_assignment(cost, *, potential=None):
         an optimum of the same total cost; a poor one only costs time.
         When several bijections attain it, which one comes back can
         depend on the potential.
+    overwrite_cost : bool
+        Allow the solver to use ``cost`` as its workspace, as SciPy's
+        ``overwrite_a`` does: the warm-started paths then reduce it in
+        place instead of forming a second n x n matrix.  It is a
+        permission, not a promise: only a writeable C-contiguous float64
+        array is written, any other is copied first, and the cold dense
+        solve (below ``WARM_START_MIN_N``, unless a given potential is
+        accepted) writes nothing.  The contents of ``cost`` are undefined
+        afterwards.  The assignment is the same as without it, but
+        ``total_cost`` is then summed from the reduced entries and the
+        constants subtracted, so it equals the sum of the assigned raw
+        entries only to rounding.
 
     Ties between optimal bijections are broken in an unspecified but
     deterministic way (same input and potential, same output).
@@ -226,10 +279,16 @@ def solve_assignment(cost, *, potential=None):
     """
     cost = _check_cost(cost)
     n = cost.shape[0]
-    if potential is not None and (
-        np.shape(potential) != (n,) or not np.isfinite(potential).all()
-    ):
-        raise InvalidInputError(f"a potential must be {n} finite numbers")
-    assignment = _solve(cost, potential)
-    total = float(cost[np.arange(n), assignment].sum())
-    return Pairing(assignment=assignment, total_cost=total)
+    if potential is not None:
+        if np.shape(potential) != (n,) or not np.isfinite(potential).all():
+            raise InvalidInputError(f"a potential must be {n} finite numbers")
+        potential = np.asarray(potential, dtype=float)
+    if n == 0:
+        return Pairing(assignment=np.empty(0, dtype=np.intp), total_cost=0.0)
+    # _check_cost has already copied a matrix of any other dtype
+    in_place = overwrite_cost and cost.flags.writeable and cost.flags.c_contiguous
+    assignment, shift = _solve(cost, potential, in_place)
+    total = cost[np.arange(n), assignment].sum()
+    if in_place:  # cost holds SciPy's matrix: the raw entries less shift in all
+        total += shift
+    return Pairing(assignment=assignment, total_cost=float(total))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from corank import (
     InvalidInputError,
     assignment,
     build_grid,
+    empirical_map,
     make_law,
     make_spec,
     sample,
@@ -232,3 +234,114 @@ def test_warm_paths_hand_scipy_a_row_and_column_reduced_matrix(monkeypatch):
         assert subproblems == path
         assert seen == [True]
         assert np.array_equal(pairing.assignment, cols)
+
+
+@pytest.mark.parametrize("overwrite", [False, True])
+@pytest.mark.parametrize("potential", [None, np.empty(0)])
+def test_empty_matrix_gives_the_empty_pairing(potential, overwrite):
+    pairing = solve_assignment(np.empty((0, 0)), potential=potential,
+                               overwrite_cost=overwrite)
+    assert pairing.assignment.shape == (0,)
+    assert pairing.total_cost == 0.0
+
+
+@pytest.fixture(scope="module")
+def four_paths():
+    """path -> (cost, potential, subproblems solved) on the four solver paths."""
+    n = 400
+    cost = _law_cost("mix2cauchy", n, 2, 405)
+    other = _law_cost("mix2cauchy", n, 2, 406)
+    kept = assignment._column_duals(other, linear_sum_assignment(other)[1], np.zeros(n))
+    wild = np.random.default_rng(407).uniform(-1.0, 1.0, n) * cost.max()
+    return {
+        "cold": (_law_cost("mix2cauchy", 249, 2, 408), None, []),
+        "subproblem": (cost, None, [n]),
+        "accepted": (cost, kept, []),
+        "turned-down": (cost, wild, [n]),
+    }
+
+
+@pytest.fixture
+def subproblems(monkeypatch):
+    """Sizes of the coarse subproblems solved, in order."""
+    calls = []
+    potential_of = assignment._column_potential
+
+    def spy(c):
+        calls.append(c.shape[0])
+        return potential_of(c)
+
+    monkeypatch.setattr(assignment, "_column_potential", spy)
+    return calls
+
+
+def _solve_on(path, four_paths, subproblems, overwrite):
+    """Solve one path's problem on a copy; returns (pairing, copy afterwards)."""
+    cost, potential, expected = four_paths[path]
+    subproblems.clear()
+    matrix = cost.copy()
+    pairing = solve_assignment(matrix, potential=potential, overwrite_cost=overwrite)
+    assert subproblems == expected
+    return pairing, matrix
+
+
+PATHS = ("cold", "subproblem", "accepted", "turned-down")
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_default_leaves_the_cost_matrix_bit_identical(path, four_paths, subproblems):
+    _, matrix = _solve_on(path, four_paths, subproblems, overwrite=False)
+    assert matrix.tobytes() == four_paths[path][0].tobytes()
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_overwrite_cost_returns_the_default_pairing(path, four_paths, subproblems):
+    default, _ = _solve_on(path, four_paths, subproblems, overwrite=False)
+    in_place, _ = _solve_on(path, four_paths, subproblems, overwrite=True)
+    assert np.array_equal(in_place.assignment, default.assignment)
+    assert in_place.total_cost == pytest.approx(default.total_cost, rel=1e-12, abs=0)
+
+
+def test_overwrite_cost_copies_what_it_may_not_write():
+    # n = 300 takes the subproblem path, which reduces a matrix it may
+    # write in place; a read-only float64 matrix and an int one are copied
+    rng = np.random.default_rng(409)
+    points = squared_cost(rng.integers(-3, 4, (300, 2)), rng.integers(-2, 3, (300, 2)))
+    frozen = points.copy()
+    frozen.flags.writeable = False
+    whole = points.astype(np.int64)
+    expected = solve_assignment(points)
+    for cost in (frozen, whole):
+        before = cost.copy()
+        pairing = solve_assignment(cost, overwrite_cost=True)
+        assert np.array_equal(cost, before) and cost.dtype == before.dtype
+        assert np.array_equal(pairing.assignment, expected.assignment)
+    assert not frozen.flags.writeable
+
+
+def test_blocked_row_argmin_keeps_the_first_of_tied_columns():
+    n = 2 * assignment._BLOCK_ROWS + 5
+    rng = np.random.default_rng(410)
+    cost = rng.integers(0, 3, (n, n)).astype(float)
+    v = rng.integers(0, 2, n).astype(float)
+    full = cost - v
+    assert ((full == full.min(axis=1)[:, None]).sum(axis=1) > 1).all()
+    assert np.array_equal(assignment._row_argmin(cost, v), full.argmin(axis=1))
+
+
+def test_a_solve_holds_one_cost_matrix(subproblems):
+    # the warm path and the subproblem path reduce the caller's matrix in
+    # place; a second n x n float64 matrix would put the peak above 2
+    n = 600
+    grid = build_grid(make_spec(n, 2, symmetrize=True))
+    z = sample(make_law("mix2cauchy"), n, np.random.default_rng(411))
+    peaks = []
+    for moved in (z, z + [0.1, 0.0]):  # empty slot, then the slot's gridpoints
+        tracemalloc.start()
+        try:
+            empirical_map(moved, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1] / (8 * n * n))
+        finally:
+            tracemalloc.stop()
+    assert subproblems == [n]
+    assert max(peaks) < 1.5, peaks
