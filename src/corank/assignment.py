@@ -42,23 +42,26 @@ of ``cost``.  A potential whose reduced matrix already spreads the row
 minima over more columns is close to the problem's own duals.  Below
 ``KEEP_RATIO`` the given potential is used; otherwise the call falls
 back to the subproblem (or the cold solve below ``WARM_START_MIN_N``).
-The guard costs two argmin passes, one over ``cost`` and one over
-``cost - v`` formed ``_BLOCK_ROWS`` rows at a time; a potential that
-passes takes its row minima from the second.  One that fails costs
-those passes on top of the subproblem path.
+The potential is subtracted at once, and the guard takes two argmin
+passes, one over ``cost`` before that and one over ``cost - v`` after,
+whose minima an accepted potential keeps as its row minima.  A
+turned-down potential is left subtracted: it is one more column shift,
+so the fallback runs on ``cost - v`` and the potential's sum joins the
+constants subtracted.  That matrix has the optimal bijections of
+``cost``, but it differs from ``cost`` by the rounding of the shift, so
+where several bijections attain the optimum the one returned can
+depend on the turned-down potential.
 
 A warm solve needs one n x n matrix.  SciPy reads only the dense matrix
-it is given, and nothing reads the raw entries once the potential is
-chosen, so with ``overwrite_cost`` (which ``empirical_map`` sets for the
-matrix it has just formed) the potential, the row minima and the column
-minima are subtracted from ``cost`` in place and SciPy solves that same
-buffer.  The guard's blocks leave ``cost`` raw until a potential is
-accepted, so a turned-down one hands the subproblem the very entries it
-would have had.  The subproblem's own ``n // 4`` square submatrix is
-solved on a copy, since ``_column_duals`` reads its raw entries
-afterwards.  Whether reduced in place or in a copy, SciPy receives the
-same matrix bit for bit, so ``overwrite_cost`` never changes the
-assignment.
+it is given, so with ``overwrite_cost`` (which ``empirical_map`` sets
+for the matrix it has just formed) the potential, the row minima and
+the column minima are subtracted from ``cost`` in place and SciPy
+solves that same buffer; without it the first subtraction makes the
+one copy that the rest are made in.  The subproblem's own ``n // 4``
+square submatrix is solved on a copy, since ``_column_duals`` reads its
+raw entries afterwards.  Whether reduced in place or in a copy, SciPy
+receives the same matrix bit for bit, so ``overwrite_cost`` never
+changes the assignment.
 
 Timings on a 2-core x86 machine (``perfbench``, seed 1234, 25 s runs,
 alternating pairs against the same code with ``cost - v`` formed as a
@@ -71,7 +74,8 @@ per ``power_n400`` replication; the single buffer costs none once the
 allocator has it.  Under ``tracemalloc`` one ``empirical_map`` call at
 n = 600 peaks at 1.20 (warm) and 1.34 (subproblem) times 8 n^2 bytes,
 against 2.10 and 2.03.  Below ``WARM_START_MIN_N`` the cold dense solve
-runs unless the caller passes a potential that passes the guard.
+runs unless the caller passes a potential that passes the guard; after
+one that fails it, the cold solve runs on ``cost - v``.
 """
 
 from __future__ import annotations
@@ -91,10 +95,6 @@ WARM_START_MIN_N = 250
 # collisions than this share of the cost matrix's own (see the module
 # docstring; the table behind the value is in CHANGES.md).
 KEEP_RATIO = 0.90
-
-# Rows of ``cost - potential`` the guard forms at a time, so that the
-# raw matrix stays untouched until a potential is accepted.
-_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -187,27 +187,18 @@ def _column_potential(cost):
     return coarse.min(axis=0)
 
 
-def _row_argmin(cost, potential):
-    """``(cost - potential).argmin(axis=1)``, formed ``_BLOCK_ROWS`` rows at a time."""
-    n = cost.shape[0]
-    nearest = np.empty(n, dtype=np.intp)
-    block = np.empty((min(_BLOCK_ROWS, n), n))
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        part = block[: stop - start]
-        np.subtract(cost[start:stop], potential, out=part)
-        part.argmin(axis=1, out=nearest[start:stop])
-    return nearest
-
-
 def _collisions(columns):
     """Rows whose minimizing column another row shares: ``n`` minus the distinct ones."""
     n = columns.shape[0]
     return n - np.count_nonzero(np.bincount(columns, minlength=n))
 
 
-def _finish(reduced, row_min, potential):
-    """SciPy's columns for ``reduced = cost - potential``, and the constants subtracted."""
+def _finish(reduced, row_min, shift):
+    """SciPy's columns for ``reduced`` less its row minima ``row_min``.
+
+    ``shift`` is the sum of the column potentials already subtracted from
+    ``reduced``; it is returned plus the constants subtracted here.
+    """
     # the dense solve runs on cost - u[:, None] - v with u = min_j (cost - v),
     # then on that minus its column minima, so every row and column has a zero
     reduced -= row_min[:, None]
@@ -216,7 +207,7 @@ def _finish(reduced, row_min, potential):
     columns = linear_sum_assignment(reduced)[1]
     # every row and every column lost one constant, so every bijection's
     # total lost their sum
-    return columns, row_min.sum() + col_min.sum() + potential.sum()
+    return columns, row_min.sum() + col_min.sum() + shift
 
 
 def _solve(cost, potential=None, overwrite=False):
@@ -226,21 +217,25 @@ def _solve(cost, potential=None, overwrite=False):
     entries on the way to the matrix SciPy solved (0 when it solved
     ``cost`` as given).  With ``overwrite`` every reduction is made in
     ``cost`` itself, which ends up holding that matrix; otherwise
-    ``cost`` is only read.  Either way SciPy receives the same matrix,
-    bit for bit.
+    ``cost`` is only read, and the first reduction makes the one copy
+    that the rest are made in.
     """
-    out = cost if overwrite else None
+    shift = 0.0
     if potential is not None:
-        # blocked, so that cost stays raw for the subproblem until accepted
-        nearest = _row_argmin(cost, potential)
-        if _collisions(nearest) < KEEP_RATIO * _collisions(cost.argmin(axis=1)):
-            row_min = cost[np.arange(cost.shape[0]), nearest] - potential[nearest]
-            return _finish(np.subtract(cost, potential, out=out), row_min, potential)
+        raw = _collisions(cost.argmin(axis=1))
+        cost = np.subtract(cost, potential, out=cost if overwrite else None)
+        overwrite = True  # cost is now this solve's own
+        shift = potential.sum()
+        nearest = cost.argmin(axis=1)
+        if _collisions(nearest) < KEEP_RATIO * raw:
+            return _finish(cost, cost[np.arange(cost.shape[0]), nearest], shift)
+        # turned down: the potential stays subtracted, one column shift
+        # more that moves every bijection's total alike
     if cost.shape[0] < WARM_START_MIN_N:
-        return linear_sum_assignment(cost)[1], 0.0
+        return linear_sum_assignment(cost)[1], shift
     potential = _column_potential(cost)
-    reduced = np.subtract(cost, potential, out=out)
-    return _finish(reduced, reduced.min(axis=1), potential)
+    reduced = np.subtract(cost, potential, out=cost if overwrite else None)
+    return _finish(reduced, reduced.min(axis=1), shift + potential.sum())
 
 
 def solve_assignment(cost, *, potential=None, overwrite_cost=False):
@@ -251,20 +246,24 @@ def solve_assignment(cost, *, potential=None, overwrite_cost=False):
     cost : (n, n) array
     potential : (n,) array, optional
         Column potential to warm-start the dense solve from.  It is
-        used only if it passes the collision guard (``KEEP_RATIO``);
-        otherwise, and without one, a coarse-subproblem potential is
-        used from ``WARM_START_MIN_N`` on.  Any finite potential gives
+        subtracted from the matrix at once and started from only if it
+        passes the collision guard (``KEEP_RATIO``); one that fails it
+        stays subtracted, as one more column shift.  Otherwise, and
+        without one, a coarse-subproblem potential is used from
+        ``WARM_START_MIN_N`` on, and the cold solve below it.  Any
+        finite potential gives
         an optimum of the same total cost; a poor one only costs time.
         When several bijections attain it, which one comes back can
         depend on the potential.
     overwrite_cost : bool
         Allow the solver to use ``cost`` as its workspace, as SciPy's
-        ``overwrite_a`` does: the warm-started paths then reduce it in
-        place instead of forming a second n x n matrix.  It is a
+        ``overwrite_a`` does: a potential and every reduction are then
+        subtracted from it in place instead of from a second n x n
+        matrix.  It is a
         permission, not a promise: only a writeable C-contiguous float64
         array is written, any other is copied first, and the cold dense
-        solve (below ``WARM_START_MIN_N``, unless a given potential is
-        accepted) writes nothing.  The contents of ``cost`` are undefined
+        solve (below ``WARM_START_MIN_N``) of a call given no potential
+        writes nothing.  The contents of ``cost`` are undefined
         afterwards.  The assignment is the same as without it, but
         ``total_cost`` is then summed from the reduced entries and the
         constants subtracted, so it equals the sum of the assigned raw

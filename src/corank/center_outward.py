@@ -235,19 +235,15 @@ def empirical_map(sample, grid, tie_break_seed=0):
     z = sample - offset
     top, spread = _spread(z)
     z = z / top / spread
-    if n < WARM_START_MIN_N or _has_duplicate_rows(
+    warm = n >= WARM_START_MIN_N and not _has_duplicate_rows(
         z, (ordered - offset) / top / spread
-    ):
-        assignment = solve_assignment(
-            squared_cost(z, grid.points), overwrite_cost=True
-        ).assignment
-    else:
-        guess, table = _warm_start(grid.points)
-        cost = squared_cost(z, grid.points)
-        # the matrix is this call's own, so the solver reduces it in place
-        assignment = solve_assignment(
-            cost, potential=guess, overwrite_cost=True
-        ).assignment
+    )
+    guess, table = _warm_start(grid.points) if warm else (None, None)
+    # the matrix is this call's own, so the solver reduces it in place
+    assignment = solve_assignment(
+        squared_cost(z, grid.points), potential=guess, overwrite_cost=True
+    ).assignment
+    if warm:
         _latest = (grid.points, z, assignment, table)
     values = grid.points[assignment]
     with np.errstate(over="ignore"):  # inf once the spread passes about 1e154

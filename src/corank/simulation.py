@@ -3,8 +3,9 @@
 A study draws the groups from a named law, shifts the last group by
 each delta and runs each requested method on one study grid.  Its
 record is two ``(methods, deltas, replications)`` float arrays: the
-statistic and the p-value of every call.  The power curve counts
-p-values below alpha along the replication axis; the null draws are the
+statistic and the p-value of every call, NaN for a call that failed on
+a degenerate draw.  The power curve counts p-values below alpha along
+the replication axis, out of the calls that returned; the null draws are the
 statistics of a study with the single delta 0.  Replication r uses the
 generator seeded with ``[master_seed, r]``, so the record is
 reproducible and independent of the order (or any parallel schedule) in
@@ -33,7 +34,7 @@ from .baselines import (
     sphericized_center_outward_test,
 )
 from .distributions import make_law, sample, shift
-from .errors import InvalidSpecError, SimulationError
+from .errors import DegenerateInputError, InvalidSpecError, SimulationError
 from .rank_tests import manova_test, two_sample_test
 from .scores import SCORES
 from .sphere_grid import build_grid, make_spec, symmetrizes
@@ -243,7 +244,12 @@ class PowerCurve:
 def _replicate(config):
     """Run every call of the study; return its statistics and p-values.
 
-    Both arrays have shape (methods, deltas, replications).
+    Both arrays have shape (methods, deltas, replications).  A call that
+    raises ``DegenerateInputError`` (a draw the method cannot handle,
+    such as a numerically singular scatter matrix) is recorded as failed,
+    with a NaN statistic and p-value, and the study goes on.  Any other
+    exception, or a (method, delta) row none of whose calls returns,
+    raises ``SimulationError``.
     """
     law = make_law(config.law)
     spec = make_spec(
@@ -254,22 +260,34 @@ def _replicate(config):
     calls = [METHODS[config.study][m] for m in config.methods]
     shape = (len(calls), len(config.deltas), config.n_replications)
     statistics, p_values = np.empty(shape), np.empty(shape)
+    last = config.n_replications - 1
     for rep in range(config.n_replications):
         rng = np.random.default_rng([config.master_seed, rep])
+        where = f"replication {rep} (seed [{config.master_seed}, {rep}]) failed"
         try:
             bases = [sample(law, nk, rng) for nk in config.sizes]
             shifted = [bases[:-1] + [shift(bases[-1], delta)]
                        for delta in config.deltas]
-            for i, call in enumerate(calls):
-                for j, groups in enumerate(shifted):
-                    result = call(groups, config.score, config.scatter, grid)
-                    statistics[i, j, rep] = result.statistic
-                    p_values[i, j, rep] = result.p_value
         except Exception as err:
-            raise SimulationError(
-                f"replication {rep} (seed [{config.master_seed}, {rep}]) "
-                f"failed: {err}"
-            ) from err
+            raise SimulationError(f"{where}: {err}") from err
+        for i, (method, call) in enumerate(zip(config.methods, calls)):
+            for j, (delta, groups) in enumerate(zip(config.deltas, shifted)):
+                try:
+                    result = call(groups, config.score, config.scatter, grid)
+                except DegenerateInputError as err:
+                    statistics[i, j, rep] = p_values[i, j, rep] = np.nan
+                    if rep == last and np.isnan(p_values[i, j]).all():
+                        raise SimulationError(
+                            f"{where}: {method} at delta {delta!r}: {err} "
+                            "(no replication of this method and delta returned)"
+                        ) from err
+                    continue
+                except Exception as err:
+                    raise SimulationError(
+                        f"{where}: {method} at delta {delta!r}: {err}"
+                    ) from err
+                statistics[i, j, rep] = result.statistic
+                p_values[i, j, rep] = result.p_value
     return statistics, p_values
 
 
@@ -280,15 +298,18 @@ def run_power_study(config):
     -------
     PowerCurve
         One row per (method, delta) with the rejection count, frequency,
-        and binomial Monte Carlo standard error.
+        and binomial Monte Carlo standard error.  Its ``N`` counts the
+        calls that returned (a call that failed on a degenerate draw is
+        left out), and the frequency and error are taken over those.
     """
     _, p_values = _replicate(config)
     rejections = (p_values < config.alpha).sum(axis=2)
+    returned = (~np.isnan(p_values)).sum(axis=2)
     n_total = sum(config.sizes)
-    big_n = config.n_replications
     rows = []
     for i, method in enumerate(config.methods):
         for j, delta in enumerate(config.deltas):
+            big_n = int(returned[i, j])
             freq = float(rejections[i, j]) / big_n
             rows.append(
                 {
@@ -310,6 +331,7 @@ def run_null_distribution(config):
     Returns
     -------
     dict mapping method name to an array of n_replications statistics.
+    A draw on which the method failed (``DegenerateInputError``) is NaN.
     """
     statistics, _ = _replicate(replace(config, deltas=(0.0,)))
     return {m: statistics[i, 0] for i, m in enumerate(config.methods)}

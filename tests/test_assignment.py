@@ -246,19 +246,26 @@ def test_empty_matrix_gives_the_empty_pairing(potential, overwrite):
 
 
 @pytest.fixture(scope="module")
-def four_paths():
-    """path -> (cost, potential, subproblems solved) on the four solver paths."""
+def solver_paths():
+    """path -> (cost, potential, subproblems solved) on the five solver paths."""
     n = 400
     cost = _law_cost("mix2cauchy", n, 2, 405)
     other = _law_cost("mix2cauchy", n, 2, 406)
     kept = assignment._column_duals(other, linear_sum_assignment(other)[1], np.zeros(n))
-    wild = np.random.default_rng(407).uniform(-1.0, 1.0, n) * cost.max()
+    small = _law_cost("mix2cauchy", 249, 2, 408)
     return {
-        "cold": (_law_cost("mix2cauchy", 249, 2, 408), None, []),
+        "cold": (small, None, []),
         "subproblem": (cost, None, [n]),
         "accepted": (cost, kept, []),
-        "turned-down": (cost, wild, [n]),
+        "turned-down": (cost, _wild(cost), [n]),
+        "cold-turned-down": (small, _wild(small), []),
     }
+
+
+def _wild(cost):
+    """A potential far from the duals of ``cost``, which the guard turns down."""
+    rng = np.random.default_rng(cost.shape[0] + 7)
+    return rng.uniform(-1.0, 1.0, cost.shape[0]) * cost.max()
 
 
 @pytest.fixture
@@ -275,9 +282,9 @@ def subproblems(monkeypatch):
     return calls
 
 
-def _solve_on(path, four_paths, subproblems, overwrite):
+def _solve_on(path, solver_paths, subproblems, overwrite):
     """Solve one path's problem on a copy; returns (pairing, copy afterwards)."""
-    cost, potential, expected = four_paths[path]
+    cost, potential, expected = solver_paths[path]
     subproblems.clear()
     matrix = cost.copy()
     pairing = solve_assignment(matrix, potential=potential, overwrite_cost=overwrite)
@@ -285,21 +292,39 @@ def _solve_on(path, four_paths, subproblems, overwrite):
     return pairing, matrix
 
 
-PATHS = ("cold", "subproblem", "accepted", "turned-down")
+PATHS = ("cold", "subproblem", "accepted", "turned-down", "cold-turned-down")
 
 
 @pytest.mark.parametrize("path", PATHS)
-def test_default_leaves_the_cost_matrix_bit_identical(path, four_paths, subproblems):
-    _, matrix = _solve_on(path, four_paths, subproblems, overwrite=False)
-    assert matrix.tobytes() == four_paths[path][0].tobytes()
+def test_default_leaves_the_cost_matrix_bit_identical(path, solver_paths, subproblems):
+    _, matrix = _solve_on(path, solver_paths, subproblems, overwrite=False)
+    assert matrix.tobytes() == solver_paths[path][0].tobytes()
 
 
 @pytest.mark.parametrize("path", PATHS)
-def test_overwrite_cost_returns_the_default_pairing(path, four_paths, subproblems):
-    default, _ = _solve_on(path, four_paths, subproblems, overwrite=False)
-    in_place, _ = _solve_on(path, four_paths, subproblems, overwrite=True)
+def test_overwrite_cost_returns_the_default_pairing(path, solver_paths, subproblems):
+    default, _ = _solve_on(path, solver_paths, subproblems, overwrite=False)
+    in_place, _ = _solve_on(path, solver_paths, subproblems, overwrite=True)
     assert np.array_equal(in_place.assignment, default.assignment)
     assert in_place.total_cost == pytest.approx(default.total_cost, rel=1e-12, abs=0)
+
+
+def test_a_turned_down_potential_stays_subtracted(solver_paths, monkeypatch):
+    # below WARM_START_MIN_N the cold solve runs on cost - potential, one
+    # column shift that moves every bijection's total alike
+    cost, wild, _ = solver_paths["cold-turned-down"]
+    solved = []
+
+    def spy(matrix):
+        solved.append(matrix.copy())
+        return linear_sum_assignment(matrix)
+
+    monkeypatch.setattr(assignment, "linear_sum_assignment", spy)
+    pairing = solve_assignment(cost.copy(), potential=wild, overwrite_cost=True)
+    assert len(solved) == 1 and solved[0].tobytes() == (cost - wild).tobytes()
+    rows, cols = linear_sum_assignment(cost)
+    assert np.array_equal(pairing.assignment, cols)
+    assert pairing.total_cost == pytest.approx(cost[rows, cols].sum(), rel=1e-12, abs=0)
 
 
 def test_overwrite_cost_copies_what_it_may_not_write():
@@ -317,16 +342,6 @@ def test_overwrite_cost_copies_what_it_may_not_write():
         assert np.array_equal(cost, before) and cost.dtype == before.dtype
         assert np.array_equal(pairing.assignment, expected.assignment)
     assert not frozen.flags.writeable
-
-
-def test_blocked_row_argmin_keeps_the_first_of_tied_columns():
-    n = 2 * assignment._BLOCK_ROWS + 5
-    rng = np.random.default_rng(410)
-    cost = rng.integers(0, 3, (n, n)).astype(float)
-    v = rng.integers(0, 2, n).astype(float)
-    full = cost - v
-    assert ((full == full.min(axis=1)[:, None]).sum(axis=1) > 1).all()
-    assert np.array_equal(assignment._row_argmin(cost, v), full.argmin(axis=1))
 
 
 def test_a_solve_holds_one_cost_matrix(subproblems):

@@ -17,7 +17,9 @@ import pytest
 from corank import (
     SimConfig,
     VectorScore,
+    assignment,
     build_grid,
+    center_outward,
     custom_score,
     elliptical_rank_test,
     make_law,
@@ -202,6 +204,32 @@ def test_warm_null_distribution_equals_frozen(frozen):
 
 def test_warm_calls_on_a_shared_grid_equal_frozen(frozen):
     assert _warm_calls() == frozen["warm_calls"]
+
+
+@pytest.mark.parametrize("case", [_warm_power_study, _warm_calls])
+def test_warm_cases_pin_turned_down_guesses(case, monkeypatch):
+    # a guess the guard turns down stays subtracted from the matrix the
+    # subproblem then solves, so the warm cases must keep meeting one
+    subproblems, turned_down = [], []
+    potential_of = assignment._column_potential
+    solve = center_outward.solve_assignment
+
+    def spy_potential(cost):
+        subproblems.append(cost.shape[0])
+        return potential_of(cost)
+
+    def spy_solve(cost, *, potential=None, overwrite_cost=False):
+        before = len(subproblems)
+        pairing = solve(cost, potential=potential, overwrite_cost=overwrite_cost)
+        if potential is not None:
+            turned_down.append(len(subproblems) > before)
+        return pairing
+
+    monkeypatch.setattr(assignment, "_column_potential", spy_potential)
+    monkeypatch.setattr(center_outward, "solve_assignment", spy_solve)
+    monkeypatch.setattr(center_outward, "_latest", None)
+    case()
+    assert any(turned_down) and not all(turned_down)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
 """Monte Carlo harness: config handling, power studies, null draws."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 from corank import (
+    DegenerateInputError,
     InvalidInputError,
     InvalidSpecError,
     PowerCurve,
@@ -286,8 +288,39 @@ def test_failing_replication_reports_seed(monkeypatch):
     # the registry looks the test up in the module at call time
     monkeypatch.setattr(simulation, "two_sample_test", failing_test)
     cfg = small_config(master_seed=3)
-    with pytest.raises(SimulationError, match=r"replication 0 \(seed \[3, 0\]\)"):
+    with pytest.raises(SimulationError, match=r"replication 0 \(seed \[3, 0\]\) "
+                       r"failed: co at delta 0\.0: injected failure"):
         run_power_study(cfg)
+
+
+# replication 2 draws a sample covariance with eigenvalues 58 and 1.3e14
+DEGENERATE_DRAW = SimConfig(
+    law="mix2cauchy", sizes=(200, 200), deltas=(0.0, 0.12, 0.24),
+    methods=("co", "elliptical", "hotelling"), n_replications=4,
+    master_seed=70001444,
+)
+
+
+def test_study_survives_a_degenerate_draw():
+    rows = run_power_study(DEGENERATE_DRAW).rows
+    co_only = run_power_study(replace(DEGENERATE_DRAW, methods=("co",))).rows
+    assert rows[:3] == co_only
+    failed = [row for row in rows if row["N"] < 4]
+    assert {row["method"] for row in failed} == {"elliptical", "hotelling"}
+    for row in failed:
+        assert row["frequency"] == row["rejections"] / row["N"]
+    draws = run_null_distribution(DEGENERATE_DRAW)
+    assert np.isnan(draws["elliptical"]).sum() == 1
+    assert not np.isnan(draws["co"]).any()
+
+
+def test_a_method_failing_every_draw_raises(monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise DegenerateInputError("injected degenerate draw")
+
+    monkeypatch.setattr(simulation, "hotelling_two_sample", degenerate)
+    with pytest.raises(SimulationError, match=r"hotelling at delta 0\.0: injected"):
+        run_power_study(small_config(n_replications=3))
 
 
 def test_power_study_scores_its_grid_once(monkeypatch):
