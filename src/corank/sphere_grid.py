@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import InvalidSpecError
 from .scores import ScoreFunction
@@ -185,6 +184,10 @@ def _fibonacci_sphere(m):
 
 
 def _halton_sphere(m, d):
+    # scipy.stats is most of the package's import time, and only d >= 4
+    # grids come here
+    from scipy.stats import qmc
+
     eng = qmc.Halton(d=d, scramble=False)
     eng.fast_forward(1)  # index 0 is the all-zero point
     u = eng.random(m)

@@ -1,8 +1,8 @@
 """End-to-end command line checks.
 
-Most checks run in-process via main(). The entry-point checks at the end
-run the CLI in subprocesses, with PYTHONPATH set so that they import the
-same corank as this process.
+Most checks run in-process via main(). The entry-point and import-cost
+checks at the end run in subprocesses, with PYTHONPATH set so that they
+import the same corank as this process.
 """
 
 import csv
@@ -577,3 +577,30 @@ def test_installed_console_script():
     )
     assert script.returncode == 0
     assert script.stdout == expected
+
+
+def test_d2_calls_leave_scipy_stats_unimported():
+    # scipy.stats is about 40% of a d = 2 command's run time; only the
+    # Halton directions of d >= 4 grids need it
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import corank\n"
+        "rng = np.random.default_rng(5)\n"
+        "x, y = rng.standard_normal((2, 30, 2))\n"
+        "corank.two_sample_test(x, y)\n"
+        "corank.run_power_study(corank.SimConfig(\n"
+        "    sizes=(20, 20), deltas=(0.0, 0.5), n_replications=2,\n"
+        "    methods=tuple(corank.simulation.METHODS['two_sample'])))\n"
+        "print('scipy.stats' in sys.modules)\n"
+        "corank.two_sample_test(*rng.standard_normal((2, 30, 4)))\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
