@@ -11,11 +11,7 @@ regression tests whose null distributions do not depend on the
 Carlo harness ship alongside.
 """
 
-from .assignment import (
-    Pairing,
-    solve_assignment,
-    squared_cost,
-)
+from .assignment import squared_cost
 from .baselines import (
     ScatterEstimate,
     elliptical_rank_test,
@@ -95,7 +91,6 @@ __all__ = [
     "InvalidScoreError",
     "InvalidSpecError",
     "NumericalError",
-    "Pairing",
     "PowerCurve",
     "RanksSigns",
     "ScatterEstimate",
@@ -132,7 +127,6 @@ __all__ = [
     "sample_covariance",
     "shift",
     "sign_score",
-    "solve_assignment",
     "sphericize",
     "sphericized_center_outward_test",
     "squared_cost",

@@ -76,7 +76,8 @@ def _spread(z):
     cannot overflow, and their median norm, the second, underflows only
     below about 1e-154 of the largest coordinate.
     Both are 1 when that median is 0, which happens only when more than
-    half the rows are 0.
+    half the rows are 0.  Raises InvalidInputError when the squared
+    distances of the scaled sample to the unit ball can overflow.
     """
     top = np.abs(z).max()
     if top == 0.0:
@@ -84,7 +85,24 @@ def _spread(z):
     y = z / top
     mid = z.shape[0] // 2
     spread = np.partition(np.sqrt((y * y).sum(axis=1)), mid)[mid]
-    return (top, spread) if spread > 0.0 else (1.0, 1.0)
+    # the scaled sample's largest |coordinate| is 1 / spread (top when it
+    # is left unscaled) and a gridpoint's are at most 1, so no squared
+    # distance exceeds d (that + 1)^2
+    limit = np.sqrt(np.finfo(float).max / z.shape[1]) - 1.0
+    if spread == 0.0:
+        if top > limit:
+            raise InvalidInputError(
+                f"sample coordinates reach {top:.3g} from the median, "
+                "so their squared distances overflow"
+            )
+        return 1.0, 1.0
+    if spread * limit < 1.0:
+        # a nonzero spread is at least about 2e-162, so 1 / spread is finite
+        raise InvalidInputError(
+            f"the sample's largest |coordinate| is {1.0 / spread:.3g} times "
+            "its median row norm, so its squared distances overflow"
+        )
+    return top, spread
 
 
 def _neighbour_table(points):
@@ -189,7 +207,12 @@ def empirical_map(sample, grid, tie_break_seed=0):
     largest |coordinate|, so that it neither overflows nor underflows)
     before the cost matrix is formed.  It is left unscaled when that
     norm is 0, which happens only when more than half the rows equal
-    the median.
+    the median.  A sample whose scaled squared distances to the unit
+    ball could still overflow, such as one with a row 1e160 times its
+    median row norm, raises InvalidInputError before the matrix is
+    formed.  The matrix is then this call's own, and
+    ``assignment.solve_assignment`` reduces it in place, so a solve
+    holds one n x n matrix.
 
     Every cost matrix on one set of gridpoints is thus in one frame, so
     the optimal pairing of one sample is a good warm start for the next.
@@ -233,6 +256,12 @@ def empirical_map(sample, grid, tie_break_seed=0):
         raise InvalidInputError(
             f"grid shape ({grid.n}, {grid.d}) does not match sample shape ({n}, {d})"
         )
+    # _spread's overflow bound takes every gridpoint coordinate in [-1, 1]
+    reach = np.abs(grid.points).max()
+    if reach > 1.0:
+        raise InvalidInputError(
+            f"gridpoint coordinates reach {reach:.3g}; a ball grid's lie in [-1, 1]"
+        )
     # np.median's value, without its fixed cost of about 20 us per call
     ordered = np.sort(sample, axis=0)
     offset = (ordered[(n - 1) // 2] + ordered[n // 2]) / 2
@@ -243,10 +272,7 @@ def empirical_map(sample, grid, tie_break_seed=0):
         z, (ordered - offset) / top / spread
     )
     guess, table = _warm_start(grid.points) if warm else (None, None)
-    # the matrix is this call's own, so the solver reduces it in place
-    assignment = solve_assignment(
-        squared_cost(z, grid.points), potential=guess, overwrite_cost=True
-    ).assignment
+    assignment = solve_assignment(squared_cost(z, grid.points), potential=guess)
     if warm:
         _latest = (grid.points, z, assignment, table)
     values = grid.points[assignment]

@@ -70,9 +70,16 @@ METHODS = {
 
 
 def _number(value):
-    if not isinstance(value, numbers.Real):
+    # Python counts a bool, a JSON true or false, as a number; a config does not
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def _integer(value):
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _finite(value):
@@ -112,16 +119,16 @@ def _tuple_of(read):
 _FIELD_TYPES = {
     "study": _one_of(METHODS),
     "law": _string,
-    "sizes": _tuple_of(operator.index),
+    "sizes": _tuple_of(_integer),
     "deltas": _tuple_of(_finite),
     "methods": _tuple_of(str),
-    "n_replications": operator.index,
+    "n_replications": _integer,
     "alpha": _number,
-    "master_seed": operator.index,
+    "master_seed": _integer,
     "score": _one_of(SCORES),
     "scatter": _one_of(SCATTERS),
-    "n_r": _optional(operator.index),
-    "n_s": _optional(operator.index),
+    "n_r": _optional(_integer),
+    "n_s": _optional(_integer),
 }
 
 

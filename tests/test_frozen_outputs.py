@@ -218,12 +218,12 @@ def test_warm_cases_pin_turned_down_guesses(case, monkeypatch):
         subproblems.append(cost.shape[0])
         return potential_of(cost)
 
-    def spy_solve(cost, *, potential=None, overwrite_cost=False):
+    def spy_solve(cost, potential=None):
         before = len(subproblems)
-        pairing = solve(cost, potential=potential, overwrite_cost=overwrite_cost)
+        columns = solve(cost, potential=potential)
         if potential is not None:
             turned_down.append(len(subproblems) > before)
-        return pairing
+        return columns
 
     monkeypatch.setattr(assignment, "_column_potential", spy_potential)
     monkeypatch.setattr(center_outward, "solve_assignment", spy_solve)

@@ -1,6 +1,7 @@
 """Monte Carlo harness: config handling, power studies, null draws."""
 
 import io
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -87,6 +88,19 @@ def test_config_validation():
                      ("n_r", {"n_r": 4.0, "n_s": 10})):
         with pytest.raises(InvalidSpecError, match=key):
             SimConfig(**bad)
+
+
+# a numeric field and a JSON value for it holding a boolean
+BOOLEAN_FIELDS = {
+    "n_replications": "true", "master_seed": "false", "alpha": "true",
+    "sizes": "[true, 5]", "deltas": "[true, 0.5]", "n_r": "true", "n_s": "true",
+}
+
+
+@pytest.mark.parametrize("key", BOOLEAN_FIELDS)
+def test_config_rejects_json_booleans_as_numbers(key):
+    with pytest.raises(InvalidSpecError, match=key):
+        SimConfig.from_dict(json.loads(f'{{"{key}": {BOOLEAN_FIELDS[key]}}}'))
 
 
 def test_config_rejects_unusable_deltas_and_methods():
