@@ -59,9 +59,11 @@ A warm solve holds one n x n matrix: the potential, the row minima and
 the column minima are all subtracted from ``cost`` in place, and SciPy
 solves that same buffer.  The subproblem's ``n // 4`` square submatrix
 is solved on a copy, since ``_column_duals`` reads its raw entries
-afterwards.  Below ``WARM_START_MIN_N`` the cold dense solve runs on
-``cost`` as given unless the caller passes a potential that passes the
-guard; after one that fails it, the cold solve runs on ``cost - v``.
+afterwards, and the shifted column minimum that extends its duals is
+taken over blocks of rows no larger than it.  Below ``WARM_START_MIN_N``
+the cold dense solve runs on ``cost`` as given unless the caller passes
+a potential that passes the guard; after one that fails it, the cold
+solve runs on ``cost - v``.
 """
 
 from __future__ import annotations
@@ -127,6 +129,7 @@ def _column_duals(cost, assignment, v0):
         block = cost[rows]
         block -= (matched[rows] - v[assignment[rows]])[:, None]
         relaxed = np.minimum(v, block.min(axis=0))
+        del block  # freed before the next pass forms its own
         moved = relaxed != v
         if not moved.any():
             break
@@ -147,9 +150,17 @@ def _column_potential(cost):
     # are recovered from the raw entries
     assigned = solve_assignment(sub.copy())
     v_sub = _column_duals(sub, assigned, np.zeros(m))
-    coarse = cost[rows]
-    coarse -= (sub[np.arange(m), assigned] - v_sub[assigned])[:, None]
-    return coarse.min(axis=0)
+    shift = sub[np.arange(m), assigned] - v_sub[assigned]
+    # min_i (cost[rows[i]] - shift[i]) over blocks of rows, each no larger
+    # than the submatrix, so no (n/4) x n copy is formed; min is exact
+    step = max(1, m * m // n)
+    potential = np.full(n, np.inf)
+    for start in range(0, m, step):
+        block = cost[rows[start:start + step]]
+        block -= shift[start:start + step, None]
+        np.minimum(potential, block.min(axis=0), out=potential)
+        del block  # freed before the next one is formed
+    return potential
 
 
 def _collisions(columns):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import betainc
 
 from .center_outward import RanksSigns
@@ -119,18 +119,36 @@ def sphericize(z, scatter, root="symmetric"):
 
     ``root="symmetric"`` (default) applies the symmetric inverse square
     root; ``root="cholesky"`` solves against the lower Cholesky factor.
+
+    Raises
+    ------
+    InvalidInputError
+        If the scatter matrix or location has a non-finite entry.
+    DegenerateInputError
+        If the scatter matrix is singular or, for the Cholesky root, not
+        positive definite.
     """
     z = _as_sample(z)
     if root not in ("symmetric", "cholesky"):
         raise InvalidInputError(f"unknown root {root!r}")
-    diffs = z - scatter.location
     matrix = np.asarray(scatter.matrix, dtype=float)
+    location = np.asarray(scatter.location, dtype=float)
+    if not (np.isfinite(matrix).all() and np.isfinite(location).all()):
+        raise InvalidInputError("scatter estimate has non-finite entries")
+    diffs = z - location
     if root == "cholesky":
         try:
             low = np.linalg.cholesky(matrix)
         except np.linalg.LinAlgError as err:
             raise DegenerateInputError(f"scatter matrix not positive definite: {err}") from err
-        return solve_triangular(low, diffs.T, lower=True).T
+        # L x = diffs' solved as U' x = diffs' with U = low.T, the Fortran
+        # view scipy.linalg.solve_triangular passes LAPACK for a C-ordered
+        # factor, so z is the same to the bit; the inputs were checked
+        # finite above, and diffs is this call's own scratch to overwrite
+        x, info = dtrtrs(low.T, diffs.T, lower=0, trans=1, overwrite_b=1)
+        if info != 0:
+            raise DegenerateInputError(f"triangular solve failed (LAPACK info {info})")
+        return x.T
     w, u = np.linalg.eigh(matrix)
     if w[0] < 1e-10 * max(w[-1], 1e-300) or w[-1] <= 0:
         raise DegenerateInputError(
@@ -230,13 +248,15 @@ def hotelling_two_sample(sample1, sample2):
         raise InvalidInputError(
             f"Hotelling needs n >= d + 2, got n={n}, d={d}"
         )
-    s1 = np.cov(x, rowvar=False, ddof=1).reshape(d, d)
-    s2 = np.cov(y, rowvar=False, ddof=1).reshape(d, d)
-    pooled = ((n1 - 1) * s1 + (n2 - 1) * s2) / (n - 2)
+    mean_x = x.mean(axis=0)
+    mean_y = y.mean(axis=0)
+    dx = x - mean_x
+    dy = y - mean_y
+    pooled = (dx.T @ dx + dy.T @ dy) / (n - 2)
     w = np.linalg.eigvalsh(pooled)
     if w[0] < 1e-12 * max(w[-1], 1e-300) or w[-1] <= 0:
         raise DegenerateInputError("pooled covariance is singular")
-    diff = x.mean(axis=0) - y.mean(axis=0)
+    diff = mean_x - mean_y
     t_sq = float(n1 * n2 / n * diff @ np.linalg.solve(pooled, diff))
     f_stat = t_sq * (n - 1 - d) / ((n - 2) * d)
     dof = (d, n - 1 - d)

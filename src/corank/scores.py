@@ -87,13 +87,20 @@ class ScoreFunction:
     """A spherical score: scalar J on [0, 1) applied along the sign.
 
     Build through :func:`sign_score`, :func:`wilcoxon_score`,
-    :func:`van_der_waerden_score`, or :func:`custom_score`.
+    :func:`van_der_waerden_score`, or :func:`custom_score`.  A score
+    keeps J at the whole ranks of the last rank divisor it was read at
+    (see :meth:`vector_scores`).
     """
 
     kind: str
     d: int | None = None
     fn: Callable | None = field(default=None, repr=False)
     norm_sq_value: float | None = None
+    # one slot holding (n_r, J(k/(n_r+1)) for k = 1..n_r) of the last
+    # whole ranks read; a score made by dataclasses.replace starts empty
+    _levels: list = field(
+        default_factory=lambda: [None], init=False, compare=False, repr=False
+    )
 
     def evaluate(self, r):
         """J at normalized ranks ``r`` (scalar or array) in [0, 1)."""
@@ -128,9 +135,25 @@ class ScoreFunction:
         return self.norm_sq_value
 
     def vector_scores(self, rs):
-        """Per-observation vector scores ``J(rank/(n_r+1)) * sign``, (n, d)."""
-        j = self.evaluate(rs.rank / rs.rank_divisor)
-        return np.asarray(j)[:, None] * rs.sign
+        """Per-observation vector scores ``J(rank/(n_r+1)) * sign``, (n, d).
+
+        Ranks that are all whole numbers in 1..n_r, as elliptical ranks
+        (a permutation of 1..n) always are, are read from J evaluated
+        once at ``k/(n_r+1)``, k = 1..n_r, and kept for the last n_r
+        met.  Other ranks (0 or 1/2 on a grid) are evaluated directly.
+        Both give the same values.  Concurrent callers can at worst
+        evaluate J more than once.
+        """
+        rank = rs.rank
+        if not (rank.size and rank.min() >= 1 and rank.max() <= rs.n_r
+                and (rank == np.floor(rank)).all()):
+            return np.asarray(self.evaluate(rank / rs.rank_divisor))[:, None] * rs.sign
+        entry = self._levels[0]
+        if entry is None or entry[0] != rs.n_r:
+            whole = np.arange(1.0, rs.n_r + 1.0)
+            entry = (rs.n_r, self.evaluate(whole / rs.rank_divisor))
+            self._levels[0] = entry
+        return entry[1][rank.astype(np.intp) - 1][:, None] * rs.sign
 
     def score_cov(self, d):
         """Score covariance; spherical scores give ``(norm_sq/d) * I``."""

@@ -36,7 +36,7 @@ from .baselines import (
 from .distributions import make_law, sample, shift
 from .errors import DegenerateInputError, InvalidSpecError, SimulationError
 from .rank_tests import manova_test, two_sample_test
-from .scores import SCORES
+from .scores import SCORES, get_score
 from .sphere_grid import build_grid, make_spec, symmetrizes
 
 
@@ -264,6 +264,9 @@ def _replicate(config):
         symmetrize=symmetrizes(config.n_r, config.n_s),
     )
     grid = build_grid(spec, tie_break_seed=config.master_seed)
+    # one score object for the whole study, so the J values it keeps
+    # are evaluated once per study
+    score = get_score(config.score, law.d)
     calls = [METHODS[config.study][m] for m in config.methods]
     shape = (len(calls), len(config.deltas), config.n_replications)
     statistics, p_values = np.empty(shape), np.empty(shape)
@@ -280,7 +283,7 @@ def _replicate(config):
         for i, (method, call) in enumerate(zip(config.methods, calls)):
             for j, (delta, groups) in enumerate(zip(config.deltas, shifted)):
                 try:
-                    result = call(groups, config.score, config.scatter, grid)
+                    result = call(groups, score, config.scatter, grid)
                 except DegenerateInputError as err:
                     statistics[i, j, rep] = p_values[i, j, rep] = np.nan
                     if rep == last and np.isnan(p_values[i, j]).all():

@@ -64,6 +64,27 @@ def chi_sq_cdf(d, x):
     return gammainc(d / 2.0, x / 2.0)
 
 
+def hotelling_t2(x, y):
+    """Two-sample Hotelling T^2 and its F p-value, in the textbook form.
+
+    The pooled covariance is ``((n1 - 1) S1 + (n2 - 1) S2) / (n - 2)``
+    from the two ``np.cov`` estimates; the p-value is SciPy's F(d,
+    n - 1 - d) upper tail at ``T^2 (n - 1 - d) / ((n - 2) d)``.
+    """
+    from scipy.stats import f
+
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    (n1, d), n2 = x.shape, y.shape[0]
+    n = n1 + n2
+    s1 = np.cov(x, rowvar=False, ddof=1).reshape(d, d)
+    s2 = np.cov(y, rowvar=False, ddof=1).reshape(d, d)
+    pooled = ((n1 - 1) * s1 + (n2 - 1) * s2) / (n - 2)
+    diff = x.mean(axis=0) - y.mean(axis=0)
+    t_sq = n1 * n2 / n * diff @ np.linalg.solve(pooled, diff)
+    return float(t_sq), float(f.sf(t_sq * (n - 1 - d) / ((n - 2) * d), d, n - 1 - d))
+
+
 def rotate_grid(grid, q):
     """Return ``grid`` rotated by an orthogonal matrix ``q``."""
     q = np.asarray(q, dtype=float)

@@ -1,8 +1,11 @@
 """Scatter estimation, elliptical ranks, and the classical baselines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.linalg import solve_triangular
 
 import corank
 from corank import (
@@ -10,6 +13,7 @@ from corank import (
     InvalidInputError,
     NumericalError,
     ScatterEstimate,
+    SimConfig,
     build_grid,
     chi_sq_quantile,
     chi_sq_sf,
@@ -18,11 +22,14 @@ from corank import (
     hotelling_two_sample,
     make_spec,
     pillai_manova,
+    run_power_study,
     sample_covariance,
     sphericize,
     sphericized_center_outward_test,
     tyler_scatter,
 )
+from corank import scores
+from oracles import hotelling_t2
 
 
 def test_sample_covariance_pin():
@@ -129,6 +136,35 @@ def test_sphericize_rejects_singular_scatter():
         sphericize(z, sample_covariance(z), root="qr")
 
 
+@pytest.mark.parametrize("root", ["symmetric", "cholesky"])
+def test_sphericize_rejects_nonfinite_scatter(root):
+    z = np.random.default_rng(47).standard_normal((10, 2))
+    good = sample_covariance(z)
+    bad_matrix = good.matrix.copy()
+    bad_matrix[0, 1] = bad_matrix[1, 0] = np.nan
+    for est in (
+        ScatterEstimate(matrix=bad_matrix, location=good.location, kind="sample"),
+        ScatterEstimate(matrix=good.matrix, location=np.array([np.inf, 0.0]),
+                        kind="sample"),
+    ):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            sphericize(z, est, root=root)
+
+
+@pytest.mark.parametrize("estimate", [sample_covariance, tyler_scatter])
+def test_cholesky_root_equals_scipy_triangular_solve(estimate):
+    # the root calls LAPACK's trtrs as solve_triangular does, so the
+    # sphericized sample is the same to the last bit
+    rng = np.random.default_rng(48)
+    for d in (1, 2, 3, 5):
+        z = rng.standard_t(3, size=(40, d)) * rng.uniform(0.1, 10.0, size=d)
+        est = estimate(z)
+        want = solve_triangular(
+            np.linalg.cholesky(est.matrix), (z - est.location).T, lower=True
+        ).T
+        assert np.array_equal(sphericize(z, est, root="cholesky"), want)
+
+
 def test_elliptical_ranks_pin():
     rs = elliptical_ranks_signs(np.array([[1.0, 0.0], [0.0, -2.0]]))
     assert np.array_equal(rs.rank, [1.0, 2.0])
@@ -194,6 +230,46 @@ def test_elliptical_null_quantile_matches_chi_square():
     assert abs(q / chi_sq_quantile(2, 0.95) - 1.0) < 0.05
 
 
+def test_elliptical_study_evaluates_j_once(monkeypatch):
+    # elliptical ranks are a permutation of 1..n on every call, and a
+    # study reads them through one score object, so J is evaluated once
+    # per (score, n) and read by rank afterwards
+    calls = []
+    quantile = scores.chi_sq_quantile
+
+    def spy(d, p):
+        calls.append(np.size(p))
+        return quantile(d, p)
+
+    monkeypatch.setattr(scores, "chi_sq_quantile", spy)
+    config = SimConfig(law="t3", sizes=(25, 25), deltas=(0.0, 0.2, 0.4),
+                       methods=("elliptical",), score="vdw", n_replications=8,
+                       master_seed=11)
+    run_power_study(config)
+    assert calls == [50]
+    calls.clear()
+    run_power_study(replace(config, sizes=(24, 25)))
+    assert calls == [49]
+
+
+@pytest.mark.parametrize("name", ["sign", "wilcoxon", "vdw"])
+def test_whole_rank_table_gives_the_evaluated_scores(name):
+    rng = np.random.default_rng(58)
+    containers = [elliptical_ranks_signs(rng.standard_normal((30, 3)))]
+    # a grid's own ranks: all whole at n = 30, with an origin point of
+    # rank 0 at n = 31 and tie-break points of rank 1/2 at n = 32
+    for n in (30, 31, 32):
+        grid = build_grid(make_spec(n, 2, symmetrize=True))
+        containers.append(corank.RanksSigns(grid.rank_values(), grid.sign_vectors(),
+                                            grid.n_r))
+    assert {0.0, 0.5} <= set(np.concatenate([rs.rank for rs in containers]))
+    for rs in containers:
+        score = corank.get_score(name, rs.d)
+        fresh = np.asarray(score.evaluate(rs.rank / rs.rank_divisor))[:, None] * rs.sign
+        for _ in range(2):  # the first read fills the table, the second reads it
+            assert np.array_equal(score.vector_scores(rs), fresh)
+
+
 def test_sphericized_test_diagonal_scale_invariant():
     rng = np.random.default_rng(50)
     x = rng.standard_normal((20, 2))
@@ -248,6 +324,17 @@ def test_hotelling_d1_is_pooled_t_squared():
     assert res.statistic == pytest.approx(t.statistic**2, rel=1e-12)
     assert res.p_value == pytest.approx(t.pvalue, rel=1e-10)
     assert res.dof == (1, 31)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_hotelling_matches_textbook_oracle(d):
+    rng = np.random.default_rng(57 + d)
+    x = rng.standard_t(5, size=(13, d)) * rng.uniform(0.5, 3.0, size=d)
+    y = rng.standard_t(5, size=(21, d)) + 0.4
+    res = hotelling_two_sample(x, y)
+    t_sq, p_value = hotelling_t2(x, y)
+    assert res.statistic == pytest.approx(t_sq, rel=1e-12)
+    assert res.p_value == pytest.approx(p_value, rel=1e-12)
 
 
 def test_hotelling_matches_statsmodels():
