@@ -80,6 +80,8 @@ def tyler_scatter(z, location=None):
 
     Raises
     ------
+    InvalidInputError
+        If ``location`` is not a finite length-d vector.
     DegenerateInputError
         If some observation coincides with the location.
     NumericalError
@@ -89,6 +91,8 @@ def tyler_scatter(z, location=None):
     z = _as_sample(z)
     n, d = z.shape
     loc = z.mean(axis=0) if location is None else np.asarray(location, dtype=float)
+    if loc.shape != (d,) or not np.isfinite(loc).all():
+        raise InvalidInputError(f"Tyler location must be a finite length-{d} vector")
     diffs = z - loc
     if np.any(np.linalg.norm(diffs, axis=1) < 1e-300):
         raise DegenerateInputError("an observation equals the Tyler location")

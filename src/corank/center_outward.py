@@ -18,7 +18,9 @@ from scipy.spatial import cKDTree
 
 from .assignment import WARM_START_MIN_N, solve_assignment, squared_cost
 from .errors import InvalidInputError, InvalidSpecError
-from .sphere_grid import Grid, GridSpec, RanksSigns, build_grid
+# build_grid is not called here, but the benchmark's tracer
+# (perfbench/tracing.py) binds this module's name for it
+from .sphere_grid import Grid, RanksSigns, build_grid  # noqa: F401
 
 # Nearest other gridpoints per gridpoint whose constraints give the
 # warm start its guess, and the Jacobi passes the guess makes over them.
@@ -170,21 +172,18 @@ def _warm_start(points):
     return _neighbour_guess(z, assignment, table), table
 
 
-def empirical_map(sample, grid, tie_break_seed=0):
+def empirical_map(sample, grid):
     """Compute the empirical center-outward map of a sample.
 
     Parameters
     ----------
     sample : (n, d) array
         Observations, d >= 2, all finite.
-    grid : GridSpec or Grid
-        Target grid.  A GridSpec is built here (using
-        ``tie_break_seed``); a prebuilt Grid is used as-is, which lets
-        callers reuse one grid across many samples or supply a rotated
-        grid.  Repeated calls on equal gridpoints, reused or rebuilt,
-        speed up later assignments (see Notes).
-    tie_break_seed : int
-        Seed for tie-break directions when building from a GridSpec.
+    grid : Grid
+        Target grid, built for the sample's shape by ``build_grid`` (or
+        a rotated copy of one).  One grid can serve many samples.
+        Repeated calls on equal gridpoints, reused or rebuilt, speed up
+        later assignments (see Notes).
 
     Returns
     -------
@@ -227,17 +226,17 @@ def empirical_map(sample, grid, tie_break_seed=0):
     collision guard (see ``assignment``).  Whatever the guard decides,
     the call's own solve then replaces the kept one.  So the deltas of
     one power-study replication, which share their draws, start from
-    near-exact duals; a call that builds its own grid from a GridSpec
-    starts warm from the second call at that size on; a switch of law
-    costs one call on the subproblem path; and two shapes of data, or
-    two gridpoint sets, taking turns start cold every time.  A sample
-    with repeated rows has several optimal assignments, so it neither
-    reads nor writes the slot, and the one returned never depends on
-    what ran before.  Otherwise the slot never changes the optimal
-    total cost, since any potential leads to an optimum; but when
-    several pairings attain it, as distinct lattice rows on the d = 2
-    grid can, which one comes back can depend on the last solve on the
-    same gridpoints (ROADMAP Direction 2).
+    near-exact duals; a call that builds its own grid starts warm from
+    the second call at that size on; a switch of law costs one call on
+    the subproblem path; and two shapes of data, or two gridpoint sets,
+    taking turns start cold every time.  A sample with repeated rows
+    has several optimal assignments, so it neither reads nor writes the
+    slot, and the one returned never depends on what ran before.
+    Otherwise the slot never changes the optimal total cost, since any
+    potential leads to an optimum; but when several pairings attain it,
+    as distinct lattice rows on the d = 2 grid can, which one comes
+    back can depend on the last solve on the same gridpoints (ROADMAP
+    Direction 2).
     """
     global _latest
     sample = np.asarray(sample, dtype=float)
@@ -248,10 +247,8 @@ def empirical_map(sample, grid, tie_break_seed=0):
         raise InvalidSpecError(f"center-outward ranks need d >= 2, got d={d}")
     if not np.isfinite(sample).all():
         raise InvalidInputError("sample has non-finite entries")
-    if isinstance(grid, GridSpec):
-        grid = build_grid(grid, tie_break_seed=tie_break_seed)
-    elif not isinstance(grid, Grid):
-        raise InvalidInputError("grid must be a GridSpec or a Grid")
+    if not isinstance(grid, Grid):
+        raise InvalidInputError("grid must be a Grid, built by build_grid")
     if grid.n != n or grid.d != d:
         raise InvalidInputError(
             f"grid shape ({grid.n}, {grid.d}) does not match sample shape ({n}, {d})"

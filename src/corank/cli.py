@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -91,46 +92,51 @@ def _column_indices(path, header, columns):
     return idx
 
 
+def _cell_value(path, cell, where):
+    cell = cell.strip()
+    if not cell:
+        raise DataError(f"{path}: missing value {where}")
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataError(f"{path}: non-numeric value {cell!r} {where}") from None
+    if not math.isfinite(value):
+        raise DataError(f"{path}: non-finite value {cell!r} {where}")
+    return value
+
+
 def _numeric_matrix(path, header, rows, columns):
     idx = _column_indices(path, header, columns)
     out = np.empty((len(rows), len(idx)))
     for i, row in enumerate(rows, start=2):
         for j, col in enumerate(idx):
-            cell = row[col].strip()
-            if not cell:
-                raise DataError(
-                    f"{path}: missing value at row {i}, column {header[col]!r}"
-                )
-            try:
-                out[i - 2, j] = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric value {cell!r} at row {i}, "
-                    f"column {header[col]!r}"
-                ) from None
-            if not np.isfinite(out[i - 2, j]):
-                raise DataError(
-                    f"{path}: non-finite value {cell!r} at row {i}, "
-                    f"column {header[col]!r}"
-                )
+            out[i - 2, j] = _cell_value(
+                path, row[col], f"at row {i}, column {header[col]!r}"
+            )
     return out
 
 
 def _load_beta0(path, m, d):
     try:
         with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            rows = [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
     except OSError as err:
         raise DataError(f"{path}: {err}") from err
     if rows:
         try:
-            [float(v) for v in rows[0]]
+            [float(v) for v in rows[0][1]]
         except ValueError:
             rows = rows[1:]  # tolerate a header row
-    try:
-        beta = np.array([[float(v) for v in row] for row in rows])
-    except ValueError as err:
-        raise DataError(f"{path}: non-numeric coefficient: {err}") from err
+    width = len(rows[0][1]) if rows else 0
+    beta = np.empty((len(rows), width))
+    for k, (i, row) in enumerate(rows):
+        if len(row) != width:  # the first short or extra cell
+            raise DataError(
+                f"{path}: {'missing' if len(row) < width else 'extra'} "
+                f"coefficient at row {i}, column {min(len(row), width) + 1}"
+            )
+        for j, cell in enumerate(row):
+            beta[k, j] = _cell_value(path, cell, f"at row {i}, column {j + 1}")
     if beta.shape != (m, d):
         raise DataError(
             f"{path}: coefficient matrix must be {m}x{d}, got {beta.shape}"

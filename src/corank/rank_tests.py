@@ -35,7 +35,7 @@ from .errors import (
     InvalidScoreError,
 )
 from .scores import ScoreFunction, chi_sq_sf, get_score
-from .sphere_grid import Grid, GridSpec, build_grid, make_spec
+from .sphere_grid import GridSpec, build_grid, make_spec
 
 
 @dataclass(frozen=True)
@@ -291,8 +291,6 @@ def co_test(method, z, design, score, grid):
     score = get_score(score, d)
     if grid is None:
         grid = build_grid(make_spec(n, d, symmetrize=True))
-    elif not isinstance(grid, Grid):
-        raise InvalidInputError("grid must be a Grid instance")
     com = empirical_map(z, grid)
     table, cov = grid.score_table(score)
     stat = _quadratic_form(design, table[com.assignment], score, cov)

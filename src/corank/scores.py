@@ -16,8 +16,9 @@ Non-spherical scores are supported through :class:`VectorScore`, a raw
 map from ball points to score vectors with a user-supplied (or
 grid-estimated) d x d score covariance.
 
-The chi-square helpers are built on the regularized incomplete gamma;
-the quantile is its closed-form inverse, ``2 * gammaincinv(d/2, p)``.
+The chi-square helpers are built on the regularized incomplete gamma:
+the tail is SciPy's ``chdtrc``, ``gammaincc(d/2, x/2)``, and the
+quantile its closed-form inverse, ``2 * gammaincinv(d/2, p)``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import gammaincc, gammaincinv
+from scipy.special import chdtrc, gammaincinv
 
 from .errors import InvalidInputError, InvalidScoreError
 
@@ -36,13 +37,12 @@ VDW_CLAMP = 1.0 - 1e-12
 
 
 def chi_sq_sf(d, x):
-    """Chi-square(d) survival function (upper tail)."""
+    """Chi-square(d) survival function (upper tail); NaN maps to NaN."""
     if d < 1:
         raise InvalidInputError(f"dof must be >= 1, got {d}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
+    if np.count_nonzero(np.less(x, 0.0)):  # cheaper than np.any for a scalar
         raise InvalidInputError("chi-square argument must be >= 0")
-    return gammaincc(d / 2.0, x / 2.0)
+    return chdtrc(d, x)
 
 
 def chi_sq_quantile(d, p):
@@ -128,6 +128,8 @@ class ScoreFunction:
                 raise InvalidScoreError(
                     f"score returned shape {out.shape} for ranks of shape {arr.shape}"
                 )
+            if not np.isfinite(out).all():
+                raise InvalidScoreError("score returned non-finite values")
         return out if np.ndim(r) else float(out)
 
     def norm_sq(self):
@@ -231,6 +233,8 @@ class VectorScore:
             raise InvalidScoreError(
                 f"vector score returned shape {out.shape}, expected {pts.shape}"
             )
+        if not np.isfinite(out).all():
+            raise InvalidScoreError("vector score returned non-finite values")
         return out
 
     def score_cov(self, d, grid=None):

@@ -218,22 +218,11 @@ class PowerCurve:
             self._write(fh)
 
     def _write(self, fh):
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["method", "delta", "n", "rejections", "N", "frequency", "mc_se"]
+        writer = csv.DictWriter(
+            fh, ["method", "delta", "n", "rejections", "N", "frequency", "mc_se"]
         )
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row["method"],
-                    repr(row["delta"]),
-                    row["n"],
-                    row["rejections"],
-                    row["N"],
-                    repr(row["frequency"]),
-                    repr(row["mc_se"]),
-                ]
-            )
+        writer.writeheader()
+        writer.writerows(self.rows)
 
     def _row(self, method, delta):
         for row in self.rows:

@@ -97,9 +97,7 @@ def factorize(n, n_r=None, n_s=None, even_n_s=False):
         Explicit factorization.  Give both or neither.
     even_n_s : bool
         Balanced policy only: restrict to even ``n_s`` so the result
-        can be symmetrized.  Among valid triples the one minimizing
-        ``|n_r - n_s|`` wins, ties broken by smaller ``n_0`` then
-        larger ``n_s``.
+        can be symmetrized.
 
     Returns
     -------
@@ -107,9 +105,12 @@ def factorize(n, n_r=None, n_s=None, even_n_s=False):
 
     Notes
     -----
-    The balanced policy without ``even_n_s`` is closed-form: with
-    ``r = floor(sqrt(n))`` it returns ``(r, n // r, n mod r)``, valid
-    because ``n mod r < r <= n // r``.
+    One search makes every split.  Its candidates are the explicit
+    pair, or else ``(n_r, n // n_r)`` for every ``n_r`` in 1..n, with
+    ``n_s`` lowered by one where ``even_n_s`` needs it even.  Among the
+    candidates with ``n_s >= 1`` and ``0 <= n_0 < min(n_r, n_s)``, the
+    one minimizing ``|n_r - n_s|`` wins, ties broken by smaller ``n_0``
+    then larger ``n_s``.
     """
     if n < 2:
         raise InvalidSpecError(f"grid needs n >= 2, got n={n}")
@@ -120,37 +121,25 @@ def factorize(n, n_r=None, n_s=None, even_n_s=False):
             raise InvalidSpecError(
                 f"need n_r >= 1 and n_s >= 1, got n_r={n_r}, n_s={n_s}"
             )
-        n_0 = n - n_r * n_s
-        if not 0 <= n_0 < min(n_r, n_s):
-            raise InvalidSpecError(
-                f"explicit factorization invalid for n={n}: n_0={n_0} "
-                f"not in [0, min({n_r}, {n_s}))"
-            )
-        return n_r, n_s, n_0
-
-    if not even_n_s:
-        r = math.isqrt(n)
-        return r, n // r, n % r
-
-    best = None
-    for cand_r in range(1, n + 1):
-        cand_s = n // cand_r
-        if cand_s % 2 != 0:
-            cand_s -= 1
-        if cand_s < 2:
-            continue
-        n_0 = n - cand_r * cand_s
-        if not 0 <= n_0 < min(cand_r, cand_s):
-            continue
-        key = (abs(cand_r - cand_s), n_0, -cand_s)
-        if best is None or key < best[0]:
-            best = (key, (cand_r, cand_s, n_0))
-    if best is None:
+        pairs = [(n_r, n_s)]
+    else:
+        step = 2 if even_n_s else 1
+        pairs = ((r, n // r // step * step) for r in range(1, n + 1))
+    # 0 <= n_0 < n_s implies n_s >= 1; min(r, s) would double the time
+    best = min(((abs(r - s), n - r * s, -s, r) for r, s in pairs
+                if 0 <= n - r * s < r and n - r * s < s), default=None)
+    if best is not None:
+        _, n_0, minus_s, r = best
+        return r, -minus_s, n_0
+    if n_r is not None:
         raise InvalidSpecError(
-            f"no factorization of n={n} with even n_s; pass n_r/n_s "
-            "explicitly or disable symmetrization"
+            f"explicit factorization invalid for n={n}: n_0={n - n_r * n_s} "
+            f"not in [0, min({n_r}, {n_s}))"
         )
-    return best[1]
+    raise InvalidSpecError(
+        f"no factorization of n={n} with even n_s; pass n_r/n_s "
+        "explicitly or disable symmetrization"
+    )
 
 
 def symmetrizes(n_r=None, n_s=None):
@@ -396,16 +385,11 @@ GRID_CSV_FIELDS = ("radius_index", "direction_index", "is_tiebreak")
 
 
 def _write_grid(grid, fh):
+    # csv writes a float as its repr, so the coordinates round-trip exactly
     writer = csv.writer(fh)
     writer.writerow([f"x{j + 1}" for j in range(grid.d)] + list(GRID_CSV_FIELDS))
-    for i in range(grid.n):
-        row = [repr(float(v)) for v in grid.points[i]]
-        row += [
-            int(grid.radius_index[i]),
-            int(grid.direction_index[i]),
-            int(grid.is_tiebreak[i]),
-        ]
-        writer.writerow(row)
+    fields = np.column_stack([grid.radius_index, grid.direction_index, grid.is_tiebreak])
+    writer.writerows(p + f for p, f in zip(grid.points.tolist(), fields.tolist()))
 
 
 def grid_to_csv(grid, path):

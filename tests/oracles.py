@@ -2,12 +2,13 @@
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammainc
 
-from corank import DataError, Grid, InvalidInputError, ranks_signs
+from corank import DataError, Grid, InvalidInputError, InvalidSpecError, ranks_signs
 from corank.assignment import solve_assignment
 from corank.sphere_grid import GRID_CSV_FIELDS
 
@@ -83,6 +84,54 @@ def hotelling_t2(x, y):
     diff = x.mean(axis=0) - y.mean(axis=0)
     t_sq = n1 * n2 / n * diff @ np.linalg.solve(pooled, diff)
     return float(t_sq), float(f.sf(t_sq * (n - 1 - d) / ((n - 2) * d), d, n - 1 - d))
+
+
+def branched_factorize(n, n_r=None, n_s=None, even_n_s=False):
+    """The grid split in its three-branch form: explicit, closed form, even scan.
+
+    The explicit pair is checked on its own, the balanced split without
+    ``even_n_s`` is ``(r, n // r, n mod r)`` for ``r = floor(sqrt(n))``,
+    and the even split scans every ``n_r`` for the key
+    ``(|n_r - n_s|, n_0, -n_s)``.
+    """
+    if n < 2:
+        raise InvalidSpecError(f"grid needs n >= 2, got n={n}")
+    if (n_r is None) != (n_s is None):
+        raise InvalidSpecError("give both n_r and n_s or neither")
+    if n_r is not None:
+        if n_r < 1 or n_s < 1:
+            raise InvalidSpecError(
+                f"need n_r >= 1 and n_s >= 1, got n_r={n_r}, n_s={n_s}"
+            )
+        n_0 = n - n_r * n_s
+        if not 0 <= n_0 < min(n_r, n_s):
+            raise InvalidSpecError(
+                f"explicit factorization invalid for n={n}: n_0={n_0} "
+                f"not in [0, min({n_r}, {n_s}))"
+            )
+        return n_r, n_s, n_0
+    if not even_n_s:
+        r = math.isqrt(n)
+        return r, n // r, n % r
+    best = None
+    for cand_r in range(1, n + 1):
+        cand_s = n // cand_r
+        if cand_s % 2 != 0:
+            cand_s -= 1
+        if cand_s < 2:
+            continue
+        n_0 = n - cand_r * cand_s
+        if not 0 <= n_0 < min(cand_r, cand_s):
+            continue
+        key = (abs(cand_r - cand_s), n_0, -cand_s)
+        if best is None or key < best[0]:
+            best = (key, (cand_r, cand_s, n_0))
+    if best is None:
+        raise InvalidSpecError(
+            f"no factorization of n={n} with even n_s; pass n_r/n_s "
+            "explicitly or disable symmetrization"
+        )
+    return best[1]
 
 
 def rotate_grid(grid, q):

@@ -88,6 +88,17 @@ def test_tyler_rejects_observation_at_location():
         tyler_scatter(z, location=np.zeros(2))
 
 
+@pytest.mark.parametrize(
+    "location",
+    [[np.nan, 0.0], [np.inf, 0.0], [0.0, 0.0, 0.0], [0.0], 0.0, [[0.0, 0.0]]],
+    ids=["nan", "inf", "too-long", "too-short", "scalar", "2-d"],
+)
+def test_tyler_rejects_a_bad_location(location):
+    z = np.random.default_rng(44).standard_normal((30, 2))
+    with pytest.raises(InvalidInputError, match="location"):
+        tyler_scatter(z, location=location)
+
+
 def test_tyler_collinear_data_is_numerical_error():
     t = np.array([1.0, 2.0, 3.0, 4.0])
     z = np.column_stack([t, t])

@@ -41,7 +41,14 @@ def test_map_recovers_grid_on_itself():
 
 def test_map_refuses_univariate():
     with pytest.raises(InvalidSpecError):
-        empirical_map(np.zeros((6, 1)), make_spec(6, 1))
+        empirical_map(np.zeros((6, 1)), build_grid(make_spec(6, 1)))
+
+
+def test_map_takes_only_a_built_grid():
+    spec = make_spec(6, 2, symmetrize=True)
+    for grid in (spec, spec.n, None):
+        with pytest.raises(InvalidInputError, match="grid must be a Grid"):
+            empirical_map(np.eye(6, 2), grid)
 
 
 def test_map_rejects_shape_mismatch_and_nonfinite():
@@ -200,7 +207,7 @@ def test_convergence_to_population_map():
         rng = np.random.default_rng(seed)
         for n in errs:
             z = rng.standard_normal((n, 2))
-            com = empirical_map(z, make_spec(n, 2, symmetrize=True))
+            com = empirical_map(z, build_grid(make_spec(n, 2, symmetrize=True)))
             errs[n].append(np.linalg.norm(com.values - oracle(z), axis=1).max())
     means = [np.mean(errs[n]) for n in (64, 256, 1024)]
     assert means[0] > means[1] > means[2]

@@ -253,6 +253,32 @@ def test_beta0_shape_mismatch(tmp_path, capsys):
     assert "1x2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, cell",
+    [
+        ("0.5,nan\n", "'nan' at row 1, column 2"),
+        ("b1,b2\n1e400,0.5\n", "'1e400' at row 2, column 1"),
+        ("0.5,1\n0.5,x\n", "'x' at row 2, column 2"),
+        ("1,2\n3\n", "missing coefficient at row 2, column 2"),
+        ("1,2\n\n3,4,5\n", "extra coefficient at row 3, column 3"),
+    ],
+    ids=["nan", "overflow", "non-numeric", "short-row", "long-row"],
+)
+def test_beta0_bad_cell_is_named(tmp_path, capsys, text, cell):
+    rng = np.random.default_rng(65)
+    path = tmp_path / "reg.csv"
+    write_csv(path, ["y1", "y2", "c1", "c2"], rng.standard_normal((10, 4)))
+    bpath = tmp_path / "beta0.csv"
+    bpath.write_text(text)
+    code = main(
+        ["regression", "--input", str(path), "--response-cols", "y1,y2",
+         "--covariate-cols", "c1,c2", "--beta0", str(bpath)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(bpath) in err and cell in err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1

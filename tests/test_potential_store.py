@@ -436,7 +436,7 @@ def test_threads_sharing_a_grid_get_the_optimum():
 
 
 def test_threads_building_their_own_grids_get_the_optimum():
-    # each call builds its grid from a spec; the sizes take turns, so the
+    # each call builds its own grid; the sizes take turns, so the
     # slot moves to other gridpoints while other threads use it
     sizes = [250 + k for k in range(6)]
     calls = [(n, _draw(law, n, 2, [62, n, k]))
@@ -448,7 +448,8 @@ def test_threads_building_their_own_grids_get_the_optimum():
     def work(j):
         for k in range(j, len(calls), 4):
             n, z = calls[k]
-            got[k] = empirical_map(z, make_spec(n, 2, symmetrize=True)).assignment
+            grid = build_grid(make_spec(n, 2, symmetrize=True))
+            got[k] = empirical_map(z, grid).assignment
 
     assert _run_threads([lambda j=j: work(j) for j in range(4)]) == []
     for k in range(len(calls)):

@@ -8,7 +8,7 @@ values for the general-d spot checks.
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import gammaincc, ndtri
 from scipy.stats import chi2
 
 import corank
@@ -20,6 +20,7 @@ from corank import (
     chi_sq_quantile,
     chi_sq_sf,
     custom_score,
+    elliptical_rank_test,
     estimate_score_cov,
     get_score,
     make_spec,
@@ -39,6 +40,23 @@ def test_chi_sq_cdf_closed_form_d2():
 def test_chi_sq_sf_at_zero_is_one():
     for d in (1, 2, 5, 20):
         assert chi_sq_sf(d, 0.0) == 1.0
+
+
+def test_chi_sq_sf_is_the_gamma_tail_for_scalars_and_arrays():
+    rng = np.random.default_rng(39)
+    x = rng.exponential(10.0, 200)
+    for d in (1, 2, 3, 8):
+        want = gammaincc(d / 2.0, x / 2.0)
+        assert np.array_equal(chi_sq_sf(d, x), want)
+        assert np.array_equal([chi_sq_sf(d, float(v)) for v in x], want)
+        assert np.array_equal(chi_sq_sf(d, list(x)), want)
+    assert np.isnan(chi_sq_sf(2, np.nan))
+    assert np.isnan(chi_sq_sf(2, np.array([1.0, np.nan]))[1])
+    for bad in (-1e-300, np.float64(-2.0), np.array([3.0, -1.0]), [-1]):
+        with pytest.raises(InvalidInputError):
+            chi_sq_sf(2, bad)
+    with pytest.raises(InvalidInputError):
+        chi_sq_sf(0, 1.0)
 
 
 def test_chi_sq_spot_values_against_mpmath():
@@ -171,6 +189,28 @@ def test_custom_score_constant():
     wrong = custom_score(lambda r: np.ones(3), norm_sq=1.0)
     with pytest.raises(InvalidScoreError, match="shape"):
         wrong.evaluate(np.array([0.0, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["custom", "vector"])
+@pytest.mark.parametrize("method", ["co", "elliptical"])
+def test_nonfinite_score_values_are_rejected(bad, kind, method):
+    # a NaN used to come back as a NaN statistic and p-value, an inf as
+    # a RuntimeWarning from 0 * inf at the origin
+    rng = np.random.default_rng(20)
+    x, y = rng.standard_normal((20, 2)), rng.standard_normal((20, 2))
+    if kind == "custom":
+        score = custom_score(lambda r: np.where(r > 0.5, bad, r), norm_sq=1 / 3)
+    else:
+        score = VectorScore(
+            lambda pts: np.where((pts * pts).sum(axis=1, keepdims=True) > 0.25, bad, pts),
+            np.eye(2) / 6,
+        )
+    with pytest.raises(InvalidScoreError, match="non-finite"):
+        if method == "co":
+            two_sample_test(x, y, score)
+        else:
+            elliptical_rank_test([x, y], score)
 
 
 def test_custom_score_norm_matches_standard_kinds():

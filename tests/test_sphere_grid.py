@@ -12,7 +12,7 @@ from corank import (
     make_spec,
     unit_directions,
 )
-from oracles import grid_from_csv
+from oracles import branched_factorize, grid_from_csv
 
 
 def test_factorize_balanced_square():
@@ -59,6 +59,28 @@ def test_factorize_rejects_bad_input():
         factorize(1)
     with pytest.raises(InvalidSpecError):
         factorize(13, n_r=3, n_s=3)  # n_0 = 4 >= min
+
+
+def _split_or_error(factor, *args, **kwargs):
+    try:
+        return factor(*args, **kwargs)
+    except InvalidSpecError as err:
+        return str(err)
+
+
+def test_factorize_equals_branched_form():
+    # one search against the explicit check, sqrt closed form and even scan
+    for n in range(2, 3001):
+        for even in (False, True):
+            assert _split_or_error(factorize, n, even_n_s=even) == _split_or_error(
+                branched_factorize, n, even_n_s=even
+            ), (n, even)
+    for n in range(2, 200):
+        for n_r in range(25):
+            for n_s in range(25):
+                assert _split_or_error(factorize, n, n_r, n_s) == _split_or_error(
+                    branched_factorize, n, n_r, n_s
+                ), (n, n_r, n_s)
 
 
 def test_spec_validation():
