@@ -20,6 +20,7 @@ invariant under shifts and positive-diagonal triangular rescalings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -184,14 +185,13 @@ def elliptical_rank_test(samples, score="wilcoxon"):
     ranks and directions then feed the same standardized linear rank
     statistic as the center-outward tests (chi-square, (K-1)*d dof).
     """
-    samples = validate_groups(samples)
-    pooled = np.vstack(samples)
+    pooled, sizes = validate_groups(samples)
     n, d = pooled.shape
     score = get_score(score, d)
     rs = elliptical_ranks_signs(sphericize(pooled, sample_covariance(pooled)))
-    stat = k_sample_statistic(rs, [s.shape[0] for s in samples], score)
-    dof = (len(samples) - 1) * d
-    method = "elliptical-two-sample" if len(samples) == 2 else "elliptical-manova"
+    stat = k_sample_statistic(rs, sizes, score)
+    dof = (len(sizes) - 1) * d
+    method = "elliptical-two-sample" if len(sizes) == 2 else "elliptical-manova"
     return TestResult(
         method=method,
         statistic=stat,
@@ -213,18 +213,16 @@ def sphericized_center_outward_test(samples, score="wilcoxon", scatter="sample",
     ``grid`` means what it means in
     :func:`~corank.rank_tests.two_sample_test`.
     """
-    samples = validate_groups(samples)
-    pooled = np.vstack(samples)
+    pooled, sizes = validate_groups(samples)
     if scatter not in SCATTERS:
         raise InvalidInputError(
             f"unknown scatter {scatter!r}; expected one of {sorted(SCATTERS)}"
         )
     z = sphericize(pooled, SCATTERS[scatter](pooled), root="cholesky")
     method = (
-        "co-sphericized-two-sample" if len(samples) == 2 else "co-sphericized-manova"
+        "co-sphericized-two-sample" if len(sizes) == 2 else "co-sphericized-manova"
     )
-    design = group_design(tuple(s.shape[0] for s in samples))
-    return co_test(method, z, design, score, grid)
+    return co_test(method, z, group_design(sizes), score, grid)
 
 
 def _f_sf(x, df1, df2):
@@ -241,27 +239,23 @@ def hotelling_two_sample(sample1, sample2):
     reported through ``F = T^2 (n - 1 - d) / ((n - 2) d)`` on
     ``(d, n - 1 - d)`` degrees of freedom.
     """
-    x = _as_sample(sample1)
-    y = _as_sample(sample2)
-    if x.shape[1] != y.shape[1]:
-        raise InvalidInputError("samples differ in dimension")
-    n1, d = x.shape
-    n2 = y.shape[0]
-    n = n1 + n2
+    pooled, (n1, n2) = validate_groups([sample1, sample2])
+    n, d = pooled.shape
     if n - 1 - d < 1:
         raise InvalidInputError(
             f"Hotelling needs n >= d + 2, got n={n}, d={d}"
         )
+    x, y = pooled[:n1], pooled[n1:]
     mean_x = x.mean(axis=0)
     mean_y = y.mean(axis=0)
     dx = x - mean_x
     dy = y - mean_y
-    pooled = (dx.T @ dx + dy.T @ dy) / (n - 2)
-    w = np.linalg.eigvalsh(pooled)
+    cov = (dx.T @ dx + dy.T @ dy) / (n - 2)
+    w = np.linalg.eigvalsh(cov)
     if w[0] < 1e-12 * max(w[-1], 1e-300) or w[-1] <= 0:
         raise DegenerateInputError("pooled covariance is singular")
     diff = mean_x - mean_y
-    t_sq = float(n1 * n2 / n * diff @ np.linalg.solve(pooled, diff))
+    t_sq = float(n1 * n2 / n * diff @ np.linalg.solve(cov, diff))
     f_stat = t_sq * (n - 1 - d) / ((n - 2) * d)
     dof = (d, n - 1 - d)
     return TestResult(
@@ -281,10 +275,9 @@ def pillai_manova(samples):
     ``V = trace(H (H + E)^{-1})`` from the between- and within-group
     SSCP matrices.
     """
-    samples = validate_groups(samples)
-    pooled = np.vstack(samples)
+    pooled, sizes = validate_groups(samples)
     n, d = pooled.shape
-    k = len(samples)
+    k = len(sizes)
     if n - k - d - 1 < 0:
         raise InvalidInputError(
             f"Pillai needs n >= K + d + 1, got n={n}, K={k}, d={d}"
@@ -292,10 +285,11 @@ def pillai_manova(samples):
     grand = pooled.mean(axis=0)
     h = np.zeros((d, d))
     e = np.zeros((d, d))
-    for group in samples:
+    for start, n_k in zip(accumulate(sizes, initial=0), sizes):
+        group = pooled[start : start + n_k]
         mean_k = group.mean(axis=0)
         dev = (mean_k - grand)[:, None]
-        h += group.shape[0] * (dev @ dev.T)
+        h += n_k * (dev @ dev.T)
         resid = group - mean_k
         e += resid.T @ resid
     total = h + e

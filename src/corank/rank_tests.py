@@ -21,6 +21,7 @@ vector score is the row of the grid's own score table
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +37,12 @@ from .errors import (
 )
 from .scores import ScoreFunction, chi_sq_sf, get_score
 from .sphere_grid import GridSpec, build_grid, make_spec
+
+# validate_groups rescales, exactly by a power of two, a pooled sample whose
+# largest |coordinate| lies outside [2^-400, 2^400]: inside, the centred
+# data's squares and their sums stay finite and normal.  Ordinary data never
+# leave these bounds, so their bits cannot move.
+_SCALE_BITS = 400
 
 
 @dataclass(frozen=True)
@@ -129,7 +136,14 @@ def residuals(y, c, beta0=None):
         raise InvalidInputError(
             f"beta0 must be {c.shape[1]}x{d}, got {beta0.shape}"
         )
-    return y - c @ beta0
+    if not np.isfinite(beta0).all():
+        raise InvalidInputError("beta0 has non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = y - c @ beta0
+    # non-finite responses or covariates are reported where they are checked
+    if not np.isfinite(z).all() and np.isfinite(y).all() and np.isfinite(c).all():
+        raise InvalidInputError("beta0 is too large: y - c @ beta0 overflows")
+    return z
 
 
 def standardize_design(c):
@@ -156,9 +170,14 @@ def standardize_design(c):
             f"covariate column(s) {constant.tolist()} are constant; drop them "
             "(an intercept is not needed, the design is centred)"
         )
-    c_bar = c.mean(axis=0)
-    centered = c - c_bar
-    v_c = centered.T @ centered / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_bar = c.mean(axis=0)
+        centered = c - c_bar
+        v_c = centered.T @ centered / n
+    if not np.isfinite(v_c).all():
+        raise InvalidInputError(
+            "covariates are too large in scale: their second moments overflow"
+        )
     w, u = np.linalg.eigh(v_c)
     if w[0] < 1e-10 * w[-1] or w[-1] <= 0.0:
         raise DegenerateDesignError(
@@ -211,14 +230,7 @@ def q_spherical(lam, score, d, n):
 
 
 def _dummy_covariates(sizes):
-    n = int(sum(sizes))
-    c = np.zeros((n, len(sizes) - 1))
-    start = 0
-    for k, nk in enumerate(sizes):
-        if k < len(sizes) - 1:
-            c[start : start + nk, k] = 1.0
-        start += nk
-    return c
+    return np.repeat(np.eye(len(sizes))[:, :-1], sizes, axis=0)
 
 
 @lru_cache(maxsize=1)
@@ -260,23 +272,29 @@ def k_sample_statistic(rs, sizes, score):
 
 
 def validate_groups(samples):
-    """Check K >= 2 2-d groups of equal width; return them as arrays."""
+    """Check K >= 2 finite 2-d groups of equal width; return (pooled, sizes)."""
     arrays = [np.asarray(s, dtype=float) for s in samples]
     if len(arrays) < 2:
         raise InvalidInputError(f"need at least 2 groups, got {len(arrays)}")
-    d = None
     for k, a in enumerate(arrays):
-        if a.ndim != 2:
-            raise InvalidInputError(f"group {k} must be a 2-d array")
+        if a.ndim != 2 or a.shape[1] == 0:
+            raise InvalidInputError(f"group {k} must be a 2-d array with columns")
         if a.shape[0] < 2:
             raise InvalidInputError(f"group {k} has fewer than 2 observations")
-        if d is None:
-            d = a.shape[1]
-        elif a.shape[1] != d:
+        if a.shape[1] != arrays[0].shape[1]:
             raise InvalidInputError(
-                f"group {k} has {a.shape[1]} columns, expected {d}"
+                f"group {k} has {a.shape[1]} columns, expected {arrays[0].shape[1]}"
             )
-    return arrays
+    pooled = np.vstack(arrays)
+    top = float(np.abs(pooled).max())
+    if not math.isfinite(top):
+        for k, a in enumerate(arrays):
+            bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+            if bad.size:
+                raise InvalidInputError(f"group {k} row {bad[0]} is not finite")
+    if not 2.0**-_SCALE_BITS <= top <= 2.0**_SCALE_BITS:
+        np.ldexp(pooled, -math.frexp(top)[1], out=pooled)
+    return pooled, tuple(a.shape[0] for a in arrays)
 
 
 def co_test(method, z, design, score, grid):
@@ -309,9 +327,8 @@ def co_test(method, z, design, score, grid):
 
 
 def _groups_test(method, samples, score, grid):
-    samples = validate_groups(samples)
-    design = group_design(tuple(s.shape[0] for s in samples))
-    return co_test(method, np.vstack(samples), design, score, grid)
+    pooled, sizes = validate_groups(samples)
+    return co_test(method, pooled, group_design(sizes), score, grid)
 
 
 def two_sample_test(sample1, sample2, score="wilcoxon", *, grid=None):

@@ -422,3 +422,54 @@ def test_pillai_insufficient_sample():
     groups = [rng.standard_normal((2, 3)) for _ in range(2)]
     with pytest.raises(InvalidInputError):
         pillai_manova(groups)
+
+
+# every K-group test, called on a list of groups; the two-group ones take the
+# first two
+K_GROUP_TESTS = {
+    "two_sample": lambda g: corank.two_sample_test(g[0], g[1]),
+    "manova": lambda g: corank.manova_test(g),
+    "co-sphericized": lambda g: sphericized_center_outward_test(g, scatter="tyler"),
+    "elliptical": lambda g: elliptical_rank_test(g),
+    "pillai": lambda g: pillai_manova(g),
+    "hotelling": lambda g: hotelling_two_sample(g[0], g[1]),
+}
+
+
+def _t3_groups():
+    rng = np.random.default_rng(23)
+    return [rng.standard_t(3, size=(m, 2)) + 0.2 * k for k, m in enumerate((15, 12, 10))]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", sorted(K_GROUP_TESTS))
+def test_k_group_tests_refuse_a_non_finite_row(name, bad):
+    groups = _t3_groups()
+    groups[1][4, 0] = bad
+    with pytest.raises(InvalidInputError, match="group 1 row 4 is not finite"):
+        K_GROUP_TESTS[name](groups)
+
+
+@pytest.mark.parametrize("name", sorted(K_GROUP_TESTS))
+def test_k_group_tests_give_the_unit_scale_result_at_any_scale(name):
+    groups = _t3_groups()
+    base = K_GROUP_TESTS[name](groups)
+    big = K_GROUP_TESTS[name]([g * 2.0**600 for g in groups])
+    tiny = K_GROUP_TESTS[name]([g * 2.0**-600 for g in groups])
+    # both are brought back to the same power-of-two scale
+    assert (big.statistic, big.p_value) == (tiny.statistic, tiny.p_value)
+    assert big.statistic == pytest.approx(base.statistic, rel=1e-12)
+    assert big.p_value == pytest.approx(base.p_value, rel=1e-12)
+
+
+def test_groups_are_pooled_once_in_order():
+    groups = _t3_groups()
+    pooled, sizes = corank.rank_tests.validate_groups(groups)
+    assert sizes == (15, 12, 10)
+    assert all(type(n) is int for n in sizes)
+    assert pooled.flags.c_contiguous
+    assert np.array_equal(pooled, np.vstack(groups))
+    with pytest.raises(InvalidInputError, match="group 1 has 3 columns"):
+        hotelling_two_sample(groups[0], np.ones((4, 3)))
+    with pytest.raises(InvalidInputError, match="group 0 must be a 2-d array with"):
+        pillai_manova([np.ones((4, 0)), np.ones((4, 0))])

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,28 @@ def test_residuals_shape_mismatch():
         residuals(np.zeros((5, 2)), np.zeros((4, 1)))
     with pytest.raises(InvalidInputError):
         residuals(np.zeros((5, 2)), np.zeros((5, 1)), np.zeros((2, 2)))
+
+
+def test_residuals_refuse_a_beta0_that_is_not_finite_or_overflows():
+    rng = np.random.default_rng(22)
+    y = rng.standard_normal((20, 2))
+    c = 10.0 * rng.standard_normal((20, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="beta0 has non-finite"):
+            regression_test(y, c, [[np.nan, 0.0], [0.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="beta0 is too large"):
+            regression_test(y, c, [[1e308, 0.0], [0.0, 0.0]])
+
+
+def test_covariates_whose_second_moments_overflow_are_refused():
+    rng = np.random.default_rng(24)
+    y = rng.standard_normal((20, 2))
+    c = rng.standard_normal((20, 2)) * 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="covariates are too large"):
+            regression_test(y, c)
 
 
 def test_standardize_design_two_sample_dummy():
