@@ -73,6 +73,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .errors import InvalidInputError
+from .sphere_grid import Grid
 
 # Below this size the cold dense solve is already cheap.
 WARM_START_MIN_N = 250
@@ -104,7 +105,9 @@ def squared_cost(sample, grid):
         raise InvalidInputError(
             f"sample and grid shapes differ: {sample.shape} vs {pts.shape}"
         )
-    if not (np.isfinite(sample).all() and np.isfinite(pts).all()):
+    # a Grid's points were checked to lie in [-1, 1] when it was made
+    if not (np.isfinite(sample).all()
+            and (isinstance(grid, Grid) or np.isfinite(pts).all())):
         raise InvalidInputError("non-finite coordinates in sample or grid")
     # cdist forms the differences directly, so entries are exact to rounding
     return cdist(sample, pts, metric="sqeuclidean")

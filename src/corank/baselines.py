@@ -15,11 +15,18 @@ sphericized center-outward test uses the Cholesky root instead: the
 symmetric root leaves a data-dependent orthogonal factor behind, and
 with a fixed grid only the Cholesky choice makes the statistic exactly
 invariant under shifts and positive-diagonal triangular rescalings.
+
+Each K-group test is ``rank_tests.validate_groups`` followed by a body
+on the pooled sample (``_hotelling``, ``_pillai``, ``_elliptical``,
+``_sphericized``), which a power study and the command line run after
+that same check.  The public single-sample helpers check their sample
+and call the same estimators as the bodies, which skip those checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
@@ -34,6 +41,7 @@ from .errors import (
 )
 from .rank_tests import (
     TestResult,
+    _scale_exponent,
     co_test,
     group_design,
     k_sample_statistic,
@@ -55,45 +63,54 @@ class ScatterEstimate:
 
 
 def _as_sample(z):
+    """``z`` checked and times ``2^-k``, and k, as ``validate_groups`` rescales.
+
+    k is 0, and ``z`` returned as given, unless its largest |coordinate|
+    lies outside [2^-400, 2^400].
+    """
     z = np.asarray(z, dtype=float)
-    if z.ndim != 2 or z.shape[0] < 2:
-        raise InvalidInputError(f"need a 2-d sample with n >= 2, got shape {z.shape}")
-    if not np.isfinite(z).all():
+    if z.ndim != 2 or z.shape[0] < 2 or z.shape[1] < 1:
+        raise InvalidInputError(
+            f"need a 2-d sample with n >= 2 and d >= 1, got shape {z.shape}"
+        )
+    top = float(np.abs(z).max())
+    if not math.isfinite(top):
         raise InvalidInputError("sample has non-finite entries")
-    return z
+    k = _scale_exponent(top)
+    return (np.ldexp(z, -k) if k else z), k
 
 
-def sample_covariance(z):
-    """Mean and unbiased covariance.  Singularity is rejected downstream."""
-    z = _as_sample(z)
-    loc = z.mean(axis=0)
+def _sample_covariance(z):
+    # np.mean's value, without its fixed cost of about 1 us per call
+    loc = z.sum(axis=0) / z.shape[0]
     diffs = z - loc
     mat = diffs.T @ diffs / (z.shape[0] - 1)
     return ScatterEstimate(matrix=mat, location=loc, kind="sample")
 
 
-def tyler_scatter(z, location=None):
-    """Tyler's distribution-free M-estimator of scatter.
-
-    Fixed-point iteration from the identity, trace normalized to d at
-    every step; converged when successive iterates differ by less than
-    ``TYLER_TOL`` in max norm.
+def sample_covariance(z):
+    """Mean and unbiased covariance.  Singularity is rejected downstream.
 
     Raises
     ------
     InvalidInputError
-        If ``location`` is not a finite length-d vector.
-    DegenerateInputError
-        If some observation coincides with the location.
-    NumericalError
-        If the iteration has not converged after ``TYLER_MAX_ITER``
-        steps.
+        If the covariance is too large to represent (entries beyond
+        about 1e308, a sample near 1e154 or more in scale).
     """
-    z = _as_sample(z)
+    z, k = _as_sample(z)
+    est = _sample_covariance(z)
+    with np.errstate(over="ignore"):  # k = 0 leaves every value as it is
+        mat = np.ldexp(est.matrix, 2 * k)
+    if not np.isfinite(mat).all():
+        raise InvalidInputError(
+            "sample is too large in scale: its covariance overflows"
+        )
+    return replace(est, matrix=mat, location=np.ldexp(est.location, k))
+
+
+def _tyler(z, location=None):
     n, d = z.shape
-    loc = z.mean(axis=0) if location is None else np.asarray(location, dtype=float)
-    if loc.shape != (d,) or not np.isfinite(loc).all():
-        raise InvalidInputError(f"Tyler location must be a finite length-{d} vector")
+    loc = z.mean(axis=0) if location is None else location
     diffs = z - loc
     if np.any(np.linalg.norm(diffs, axis=1) < 1e-300):
         raise DegenerateInputError("an observation equals the Tyler location")
@@ -115,31 +132,42 @@ def tyler_scatter(z, location=None):
     )
 
 
-# scatter name -> estimator; the names sphericized_center_outward_test accepts
-SCATTERS = {"sample": sample_covariance, "tyler": tyler_scatter}
+def tyler_scatter(z, location=None):
+    """Tyler's distribution-free M-estimator of scatter.
 
-
-def sphericize(z, scatter, root="symmetric"):
-    """Standardize a sample by a scatter estimate.
-
-    ``root="symmetric"`` (default) applies the symmetric inverse square
-    root; ``root="cholesky"`` solves against the lower Cholesky factor.
+    Fixed-point iteration from the identity, trace normalized to d at
+    every step; converged when successive iterates differ by less than
+    ``TYLER_TOL`` in max norm.  The matrix does not depend on the
+    sample's scale, so a sample far from unit scale is brought back by
+    an exact power of two first.
 
     Raises
     ------
     InvalidInputError
-        If the scatter matrix or location has a non-finite entry.
+        If ``location`` is not a finite length-d vector.
     DegenerateInputError
-        If the scatter matrix is singular or, for the Cholesky root, not
-        positive definite.
+        If some observation coincides with the location.
+    NumericalError
+        If the iteration has not converged after ``TYLER_MAX_ITER``
+        steps.
     """
-    z = _as_sample(z)
-    if root not in ("symmetric", "cholesky"):
-        raise InvalidInputError(f"unknown root {root!r}")
-    matrix = np.asarray(scatter.matrix, dtype=float)
-    location = np.asarray(scatter.location, dtype=float)
-    if not (np.isfinite(matrix).all() and np.isfinite(location).all()):
-        raise InvalidInputError("scatter estimate has non-finite entries")
+    z, k = _as_sample(z)
+    d = z.shape[1]
+    if location is not None:
+        location = np.asarray(location, dtype=float)
+        if location.shape != (d,) or not np.isfinite(location).all():
+            raise InvalidInputError(f"Tyler location must be a finite length-{d} vector")
+        location = np.ldexp(location, -k)
+    est = _tyler(z, location)
+    return replace(est, location=np.ldexp(est.location, k))
+
+
+# scatter name -> estimator on a sample that validate_groups has checked;
+# the names sphericized_center_outward_test accepts
+SCATTERS = {"sample": _sample_covariance, "tyler": _tyler}
+
+
+def _sphericize(z, matrix, location, root):
     diffs = z - location
     if root == "cholesky":
         try:
@@ -148,8 +176,8 @@ def sphericize(z, scatter, root="symmetric"):
             raise DegenerateInputError(f"scatter matrix not positive definite: {err}") from err
         # L x = diffs' solved as U' x = diffs' with U = low.T, the Fortran
         # view scipy.linalg.solve_triangular passes LAPACK for a C-ordered
-        # factor, so z is the same to the bit; the inputs were checked
-        # finite above, and diffs is this call's own scratch to overwrite
+        # factor, so z is the same to the bit; the inputs are finite, and
+        # diffs is this call's own scratch to overwrite
         x, info = dtrtrs(low.T, diffs.T, lower=0, trans=1, overwrite_b=1)
         if info != 0:
             raise DegenerateInputError(f"triangular solve failed (LAPACK info {info})")
@@ -162,14 +190,35 @@ def sphericize(z, scatter, root="symmetric"):
     return diffs @ ((u / np.sqrt(w)) @ u.T)
 
 
-def elliptical_ranks_signs(z_ell):
-    """Ranks of the moduli (ties by input order) and unit directions.
+def sphericize(z, scatter, root="symmetric"):
+    """Standardize a sample by a scatter estimate.
 
-    Returned in the shared rank container with ``n_r = n``, so the
-    normalized ranks are ``R/(n+1)``.
+    ``root="symmetric"`` (default) applies the symmetric inverse square
+    root; ``root="cholesky"`` solves against the lower Cholesky factor.
+    The result is linear in the sample and its location, so a sample far
+    from unit scale is brought back by an exact power of two first, and
+    the result scaled back.
+
+    Raises
+    ------
+    InvalidInputError
+        If the scatter matrix or location has a non-finite entry.
+    DegenerateInputError
+        If the scatter matrix is singular or, for the Cholesky root, not
+        positive definite.
     """
-    z_ell = _as_sample(z_ell)
-    moduli = np.linalg.norm(z_ell, axis=1)
+    z, k = _as_sample(z)
+    if root not in ("symmetric", "cholesky"):
+        raise InvalidInputError(f"unknown root {root!r}")
+    matrix = np.asarray(scatter.matrix, dtype=float)
+    location = np.asarray(scatter.location, dtype=float)
+    if not (np.isfinite(matrix).all() and np.isfinite(location).all()):
+        raise InvalidInputError("scatter estimate has non-finite entries")
+    return np.ldexp(_sphericize(z, matrix, np.ldexp(location, -k), root), k)
+
+
+def _elliptical_ranks_signs(z_ell):
+    moduli = np.sqrt((z_ell * z_ell).sum(axis=1))  # np.linalg.norm's rows
     if np.any(moduli < 1e-300):
         raise DegenerateInputError("zero residual has no direction")
     n = z_ell.shape[0]
@@ -178,17 +227,23 @@ def elliptical_ranks_signs(z_ell):
     return RanksSigns(rank=ranks, sign=z_ell / moduli[:, None], n_r=n)
 
 
-def elliptical_rank_test(samples, score="wilcoxon"):
-    """K-group location test from elliptical ranks and signs.
+def elliptical_ranks_signs(z_ell):
+    """Ranks of the moduli (ties by input order) and unit directions.
 
-    Pooled data is sphericized by its sample covariance; the moduli
-    ranks and directions then feed the same standardized linear rank
-    statistic as the center-outward tests (chi-square, (K-1)*d dof).
+    Returned in the shared rank container with ``n_r = n``, so the
+    normalized ranks are ``R/(n+1)``.  Neither depends on the sample's
+    scale, so a sample far from unit scale is brought back by an exact
+    power of two first.
     """
-    pooled, sizes = validate_groups(samples)
+    return _elliptical_ranks_signs(_as_sample(z_ell)[0])
+
+
+def _elliptical(pooled, sizes, score):
     n, d = pooled.shape
     score = get_score(score, d)
-    rs = elliptical_ranks_signs(sphericize(pooled, sample_covariance(pooled)))
+    est = _sample_covariance(pooled)
+    z = _sphericize(pooled, est.matrix, est.location, "symmetric")
+    rs = _elliptical_ranks_signs(z)
     stat = k_sample_statistic(rs, sizes, score)
     dof = (len(sizes) - 1) * d
     method = "elliptical-two-sample" if len(sizes) == 2 else "elliptical-manova"
@@ -201,6 +256,25 @@ def elliptical_rank_test(samples, score="wilcoxon"):
         d=d,
         score=getattr(score, "kind", "vector"),
     )
+
+
+def elliptical_rank_test(samples, score="wilcoxon"):
+    """K-group location test from elliptical ranks and signs.
+
+    Pooled data is sphericized by its sample covariance; the moduli
+    ranks and directions then feed the same standardized linear rank
+    statistic as the center-outward tests (chi-square, (K-1)*d dof).
+    """
+    return _elliptical(*validate_groups(samples), score)
+
+
+def _sphericized(pooled, sizes, score, scatter, grid):
+    est = SCATTERS[scatter](pooled)
+    z = _sphericize(pooled, est.matrix, est.location, "cholesky")
+    method = (
+        "co-sphericized-two-sample" if len(sizes) == 2 else "co-sphericized-manova"
+    )
+    return co_test(method, z, group_design(sizes), score, grid)
 
 
 def sphericized_center_outward_test(samples, score="wilcoxon", scatter="sample", *,
@@ -218,11 +292,7 @@ def sphericized_center_outward_test(samples, score="wilcoxon", scatter="sample",
         raise InvalidInputError(
             f"unknown scatter {scatter!r}; expected one of {sorted(SCATTERS)}"
         )
-    z = sphericize(pooled, SCATTERS[scatter](pooled), root="cholesky")
-    method = (
-        "co-sphericized-two-sample" if len(sizes) == 2 else "co-sphericized-manova"
-    )
-    return co_test(method, z, group_design(sizes), score, grid)
+    return _sphericized(pooled, sizes, score, scatter, grid)
 
 
 def _f_sf(x, df1, df2):
@@ -239,15 +309,19 @@ def hotelling_two_sample(sample1, sample2):
     reported through ``F = T^2 (n - 1 - d) / ((n - 2) d)`` on
     ``(d, n - 1 - d)`` degrees of freedom.
     """
-    pooled, (n1, n2) = validate_groups([sample1, sample2])
+    return _hotelling(*validate_groups([sample1, sample2]))
+
+
+def _hotelling(pooled, sizes):
+    n1, n2 = sizes
     n, d = pooled.shape
     if n - 1 - d < 1:
         raise InvalidInputError(
             f"Hotelling needs n >= d + 2, got n={n}, d={d}"
         )
     x, y = pooled[:n1], pooled[n1:]
-    mean_x = x.mean(axis=0)
-    mean_y = y.mean(axis=0)
+    mean_x = x.sum(axis=0) / n1  # np.mean's values, as in _sample_covariance
+    mean_y = y.sum(axis=0) / n2
     dx = x - mean_x
     dy = y - mean_y
     cov = (dx.T @ dx + dy.T @ dy) / (n - 2)
@@ -275,7 +349,10 @@ def pillai_manova(samples):
     ``V = trace(H (H + E)^{-1})`` from the between- and within-group
     SSCP matrices.
     """
-    pooled, sizes = validate_groups(samples)
+    return _pillai(*validate_groups(samples))
+
+
+def _pillai(pooled, sizes):
     n, d = pooled.shape
     k = len(sizes)
     if n - k - d - 1 < 0:

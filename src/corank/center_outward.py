@@ -11,6 +11,8 @@ any statistic built on them is a pure function of the assignment.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +92,7 @@ def _spread(z):
     # the scaled sample's largest |coordinate| is 1 / spread (top when it
     # is left unscaled) and a gridpoint's are at most 1, so no squared
     # distance exceeds d (that + 1)^2
-    limit = np.sqrt(np.finfo(float).max / z.shape[1]) - 1.0
+    limit = math.sqrt(sys.float_info.max / z.shape[1]) - 1.0
     if spread == 0.0:
         if top > limit:
             raise InvalidInputError(
@@ -253,12 +255,6 @@ def empirical_map(sample, grid):
         raise InvalidInputError(
             f"grid shape ({grid.n}, {grid.d}) does not match sample shape ({n}, {d})"
         )
-    # _spread's overflow bound takes every gridpoint coordinate in [-1, 1]
-    reach = np.abs(grid.points).max()
-    if reach > 1.0:
-        raise InvalidInputError(
-            f"gridpoint coordinates reach {reach:.3g}; a ball grid's lie in [-1, 1]"
-        )
     # np.median's value, without its fixed cost of about 20 us per call
     ordered = np.sort(sample, axis=0)
     offset = (ordered[(n - 1) // 2] + ordered[n // 2]) / 2
@@ -269,7 +265,7 @@ def empirical_map(sample, grid):
         z, (ordered - offset) / top / spread
     )
     guess, table = _warm_start(grid.points) if warm else (None, None)
-    assignment = solve_assignment(squared_cost(z, grid.points), potential=guess)
+    assignment = solve_assignment(squared_cost(z, grid), potential=guess)
     if warm:
         _latest = (grid.points, z, assignment, table)
     values = grid.points[assignment]

@@ -183,6 +183,13 @@ def _emit(args, result):
     return 0
 
 
+def _run(study, args, groups, grid):
+    # the public test's check, then the body a power study runs
+    pooled, sizes = rank_tests.validate_groups(groups)
+    call = METHODS[study][args.method]
+    return call(pooled, sizes, args.score, args.scatter, grid)
+
+
 def _cmd_two_sample(args):
     cols = _csv_list(args.response_cols) if args.response_cols else None
     x = load_csv(args.input[0], cols)
@@ -192,8 +199,7 @@ def _cmd_two_sample(args):
             f"input files differ in dimension: {x.shape[1]} vs {y.shape[1]}"
         )
     grid = _grid(args, x.shape[0] + y.shape[0], x.shape[1])
-    call = METHODS["two_sample"][args.method]
-    return _emit(args, call([x, y], args.score, args.scatter, grid))
+    return _emit(args, _run("two_sample", args, [x, y], grid))
 
 
 def _split_groups(path, group_col, response_cols):
@@ -222,8 +228,7 @@ def _cmd_manova(args):
     cols = _csv_list(args.response_cols) if args.response_cols else None
     groups, _ = _split_groups(args.input, args.group_col, cols)
     grid = _grid(args, sum(g.shape[0] for g in groups), groups[0].shape[1])
-    call = METHODS["manova"][args.method]
-    return _emit(args, call(groups, args.score, args.scatter, grid))
+    return _emit(args, _run("manova", args, groups, grid))
 
 
 def _cmd_regression(args):

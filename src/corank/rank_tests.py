@@ -22,7 +22,7 @@ vector score is the row of the grid's own score table
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -45,6 +45,17 @@ from .sphere_grid import GridSpec, build_grid, make_spec
 _SCALE_BITS = 400
 
 
+def _scale_exponent(top):
+    """The k for which ``2^-k`` brings a sample back to ordinary scale.
+
+    ``top`` is the sample's largest |coordinate|, finite.  k is 0 inside
+    [2^-400, 2^400] and otherwise puts ``top`` in [1/2, 1).
+    """
+    if 2.0**-_SCALE_BITS <= top <= 2.0**_SCALE_BITS:
+        return 0
+    return math.frexp(top)[1]
+
+
 @dataclass(frozen=True)
 class CovariateDesign:
     """A standardized covariate matrix.
@@ -59,12 +70,19 @@ class CovariateDesign:
         Second-moment matrix of the centered covariates, ``Cc'Cc / n``.
     k_n : (m, m) ndarray
         Symmetric inverse square root of ``v_c``.
+
+    The standardized covariates ``(c - c_bar) K_n``, which every
+    statistic on the design reads, are formed once, when it is made.
     """
 
     c: np.ndarray
     c_bar: np.ndarray
     v_c: np.ndarray
     k_n: np.ndarray
+    _standardized: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_standardized", (self.c - self.c_bar) @ self.k_n)
 
     @property
     def n(self):
@@ -201,8 +219,7 @@ def _lambda(design, v):
         raise InvalidInputError(
             f"design has {design.n} rows but ranks cover {v.shape[0]} observations"
         )
-    standardized = (design.c - design.c_bar) @ design.k_n
-    return standardized.T @ v / design.n
+    return design._standardized.T @ v / design.n
 
 
 def q_general(lam, score_cov, n):
@@ -241,7 +258,7 @@ def group_design(sizes):
     and shared by every caller, so its arrays are read-only.
     """
     design = standardize_design(_dummy_covariates(sizes))
-    for a in (design.c, design.c_bar, design.v_c, design.k_n):
+    for a in (design.c, design.c_bar, design.v_c, design.k_n, design._standardized):
         a.setflags(write=False)
     return design
 
@@ -292,8 +309,9 @@ def validate_groups(samples):
             bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
             if bad.size:
                 raise InvalidInputError(f"group {k} row {bad[0]} is not finite")
-    if not 2.0**-_SCALE_BITS <= top <= 2.0**_SCALE_BITS:
-        np.ldexp(pooled, -math.frexp(top)[1], out=pooled)
+    k = _scale_exponent(top)
+    if k:
+        np.ldexp(pooled, -k, out=pooled)
     return pooled, tuple(a.shape[0] for a in arrays)
 
 

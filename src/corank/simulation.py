@@ -1,7 +1,12 @@
 """Monte Carlo power and null-distribution studies.
 
 A study draws the groups from a named law, shifts the last group by
-each delta and runs each requested method on one study grid.  Its
+each delta and runs each requested method on one study grid.  Each
+(replication, delta) draw is checked and pooled once, by
+``rank_tests.validate_groups``, the check that opens every public
+K-group test; the ``METHODS`` registry then runs each method's body,
+its public test without that check, on the pooled draw, so a study
+records what the public calls would return on the same draws.  Its
 record is two ``(methods, deltas, replications)`` float arrays: the
 statistic and the p-value of every call, NaN for a call that failed on
 a degenerate draw.  The power curve counts p-values below alpha along
@@ -28,43 +33,47 @@ import numpy as np
 
 from .baselines import (
     SCATTERS,
+    _elliptical,
+    _hotelling,
+    _pillai,
+    _sphericized,
+)
+# the public tests are not called here, but the benchmark's tracer
+# (perfbench/tracing.py) binds this module's names for them
+from .baselines import (  # noqa: F401
     elliptical_rank_test,
     hotelling_two_sample,
-    pillai_manova,
     sphericized_center_outward_test,
 )
 from .distributions import make_law, sample, shift
 from .errors import DegenerateInputError, InvalidSpecError, SimulationError
-from .rank_tests import manova_test, two_sample_test
+from .rank_tests import co_test, group_design, validate_groups
+from .rank_tests import two_sample_test  # noqa: F401
 from .scores import SCORES, get_score
 from .sphere_grid import build_grid, make_spec, symmetrizes
 
-
-def _sphericized(g, score, scatter, grid):
-    return sphericized_center_outward_test(g, score, scatter, grid=grid)
-
-
-def _elliptical(g, score, scatter, grid):
-    return elliptical_rank_test(g, score)
-
-
-# study -> method -> call(groups, score, scatter, grid).  Each call looks its
-# test up in this module's globals when it runs, so rebinding a module-level
-# name reaches the studies and the command line alike.
+# study -> method -> call(pooled, sizes, score, scatter, grid): the body of
+# the method's public test, run on groups that rank_tests.validate_groups
+# has checked and pooled.  Each call looks its body up in this module's
+# globals when it runs, so rebinding a module-level name reaches the
+# studies and the command line alike.
+_BOTH_STUDIES = {
+    "co-sphericized": lambda p, sizes, score, scatter, grid: _sphericized(
+        p, sizes, score, scatter, grid),
+    "elliptical": lambda p, sizes, score, scatter, grid: _elliptical(p, sizes, score),
+}
 METHODS = {
     "two_sample": {
-        "co": lambda g, score, scatter, grid: two_sample_test(
-            g[0], g[1], score, grid=grid
-        ),
-        "co-sphericized": _sphericized,
-        "elliptical": _elliptical,
-        "hotelling": lambda g, score, scatter, grid: hotelling_two_sample(g[0], g[1]),
+        "co": lambda p, sizes, score, scatter, grid: co_test(
+            "co-two-sample", p, group_design(sizes), score, grid),
+        **_BOTH_STUDIES,
+        "hotelling": lambda p, sizes, score, scatter, grid: _hotelling(p, sizes),
     },
     "manova": {
-        "co": lambda g, score, scatter, grid: manova_test(g, score, grid=grid),
-        "co-sphericized": _sphericized,
-        "elliptical": _elliptical,
-        "pillai": lambda g, score, scatter, grid: pillai_manova(g),
+        "co": lambda p, sizes, score, scatter, grid: co_test(
+            "co-manova", p, group_design(sizes), score, grid),
+        **_BOTH_STUDIES,
+        "pillai": lambda p, sizes, score, scatter, grid: _pillai(p, sizes),
     },
 }
 
@@ -265,14 +274,16 @@ def _replicate(config):
         where = f"replication {rep} (seed [{config.master_seed}, {rep}]) failed"
         try:
             bases = [sample(law, nk, rng) for nk in config.sizes]
-            shifted = [bases[:-1] + [shift(bases[-1], delta)]
-                       for delta in config.deltas]
+            draws = [validate_groups(bases[:-1] + [shift(bases[-1], delta)])
+                     for delta in config.deltas]
         except Exception as err:
             raise SimulationError(f"{where}: {err}") from err
+        for pooled, _ in draws:  # every method reads the one pooled draw
+            pooled.setflags(write=False)
         for i, (method, call) in enumerate(zip(config.methods, calls)):
-            for j, (delta, groups) in enumerate(zip(config.deltas, shifted)):
+            for j, (delta, (pooled, sizes)) in enumerate(zip(config.deltas, draws)):
                 try:
-                    result = call(groups, score, config.scatter, grid)
+                    result = call(pooled, sizes, score, config.scatter, grid)
                 except DegenerateInputError as err:
                     statistics[i, j, rep] = p_values[i, j, rep] = np.nan
                     if rep == last and np.isnan(p_values[i, j]).all():

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import InvalidSpecError
+from .errors import InvalidInputError, InvalidSpecError
 from .scores import ScoreFunction
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -263,6 +263,10 @@ class Grid:
     fields, never recovered from floating coordinates.  A grid also
     keeps the vector scores of its gridpoints for the last score used
     (see :meth:`score_table`).
+
+    Every gridpoint coordinate lies in [-1, 1], which is checked when
+    the grid is made (by ``build_grid`` or ``dataclasses.replace``);
+    ``points`` is a read-only view, so it stays so.
     """
 
     points: np.ndarray
@@ -277,6 +281,17 @@ class Grid:
     _score_table: list = field(
         default_factory=lambda: [None], init=False, compare=False, repr=False
     )
+
+    def __post_init__(self):
+        points = np.asarray(self.points, dtype=float).view()
+        # the map's overflow bound takes every coordinate in [-1, 1]
+        reach = np.abs(points).max(initial=0.0)
+        if not reach <= 1.0:
+            raise InvalidInputError(
+                f"gridpoint coordinates reach {reach:.3g}; a ball grid's lie in [-1, 1]"
+            )
+        points.setflags(write=False)
+        object.__setattr__(self, "points", points)
 
     @property
     def n(self):

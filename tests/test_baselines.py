@@ -473,3 +473,99 @@ def test_groups_are_pooled_once_in_order():
         hotelling_two_sample(groups[0], np.ones((4, 3)))
     with pytest.raises(InvalidInputError, match="group 0 must be a 2-d array with"):
         pillai_manova([np.ones((4, 0)), np.ones((4, 0))])
+
+
+# the K-group tests that take a grid, with that grid
+GRID_TESTS = {
+    "two_sample": lambda g, grid: corank.two_sample_test(g[0], g[1], grid=grid),
+    "manova": lambda g, grid: corank.manova_test(g, grid=grid),
+    "co-sphericized": lambda g, grid: sphericized_center_outward_test(g, grid=grid),
+}
+
+
+@pytest.mark.parametrize("name", sorted(K_GROUP_TESTS))
+def test_k_group_tests_refuse_groups_the_door_refuses(name):
+    # a study checks each draw once and runs the bodies below this check,
+    # so every public test must still make it itself
+    groups = _t3_groups()
+    with pytest.raises(InvalidInputError, match="group 1 has 3 columns, expected 2"):
+        K_GROUP_TESTS[name]([groups[0], np.ones((12, 3)), groups[2]])
+    with pytest.raises(InvalidInputError, match="group 1 has fewer than 2 observations"):
+        K_GROUP_TESTS[name]([groups[0], groups[1][:1], groups[2]])
+
+
+@pytest.mark.parametrize("name", sorted(GRID_TESTS))
+def test_grid_tests_refuse_a_grid_that_does_not_fit(name):
+    groups = _t3_groups()[:2]
+    with pytest.raises(InvalidInputError, match="grid must be a Grid"):
+        GRID_TESTS[name](groups, make_spec(27, 2, symmetrize=True))
+    with pytest.raises(InvalidInputError, match="does not match sample shape"):
+        GRID_TESTS[name](groups, build_grid(make_spec(28, 2, symmetrize=True)))
+
+
+def test_a_grid_outside_the_unit_ball_is_refused_where_it_is_made():
+    grid = build_grid(make_spec(27, 2, symmetrize=True))
+    for points in (grid.points * 1.5, np.where(grid.points == grid.points[0, 0],
+                                               np.nan, grid.points)):
+        with pytest.raises(InvalidInputError, match="gridpoint coordinates reach"):
+            replace(grid, points=points)
+    # the points a grid was checked with cannot change under it
+    with pytest.raises(ValueError, match="read-only"):
+        grid.points[0, 0] = 2.0
+
+
+def test_single_sample_helpers_still_refuse_bad_input():
+    z = np.random.default_rng(3).standard_normal((20, 2))
+    bad = z.copy()
+    bad[4, 1] = np.nan
+    for helper in (sample_covariance, tyler_scatter, elliptical_ranks_signs,
+                   lambda s: sphericize(s, sample_covariance(z))):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            helper(bad)
+        with pytest.raises(InvalidInputError, match="need a 2-d sample"):
+            helper(z[:1])
+        with pytest.raises(InvalidInputError, match="need a 2-d sample"):
+            helper(z[:, 0])
+    est = sample_covariance(z)
+    for scatter in (replace(est, matrix=est.matrix * np.inf),
+                    replace(est, location=est.location * np.nan)):
+        with pytest.raises(InvalidInputError, match="scatter estimate has non-finite"):
+            sphericize(z, scatter)
+    with pytest.raises(InvalidInputError, match="unknown root"):
+        sphericize(z, est, root="qr")
+    with pytest.raises(InvalidInputError, match="non-finite coordinates"):
+        corank.squared_cost(bad, build_grid(make_spec(20, 2)))
+    with pytest.raises(InvalidInputError, match="non-finite coordinates"):
+        corank.squared_cost(z, bad)
+    with pytest.raises(InvalidInputError, match="shapes differ"):
+        corank.squared_cost(z, z[:10])
+
+
+@pytest.mark.parametrize("scale", [1e160, 2.0**600], ids=["1e160", "2^600"])
+def test_single_sample_helpers_at_a_scale_whose_squares_overflow(scale):
+    # run under the suite's -W error, so an overflow warning fails the test
+    z = np.random.default_rng(4).standard_t(3, size=(20, 2))
+    big = z * scale
+    with pytest.raises(InvalidInputError, match="too large in scale"):
+        sample_covariance(big)
+    exact = scale == 2.0**600  # a power of two rescales without rounding
+    tyler, tyler_big = tyler_scatter(z), tyler_scatter(big)
+    rs, rs_big = elliptical_ranks_signs(z), elliptical_ranks_signs(big)
+    assert np.array_equal(rs.rank, rs_big.rank)
+    if exact:
+        assert np.array_equal(tyler_big.matrix, tyler.matrix)
+        assert np.array_equal(tyler_big.location, tyler.location * scale)
+        assert np.array_equal(rs_big.sign, rs.sign)
+    else:
+        assert np.allclose(tyler_big.matrix, tyler.matrix, rtol=1e-10, atol=0.0)
+        assert np.allclose(tyler_big.location, tyler.location * scale, rtol=1e-12, atol=0.0)
+        assert np.allclose(rs_big.sign, rs.sign, rtol=1e-12, atol=1e-15)
+    given = tyler_scatter(big, location=tyler_big.location)
+    assert np.array_equal(given.location, tyler_big.location)
+    for root in ("symmetric", "cholesky"):
+        want = sphericize(z, tyler, root=root)
+        got = sphericize(big, tyler_big, root=root)
+        if exact:
+            assert np.array_equal(got, want * scale)
+        else:
+            assert np.allclose(got / scale, want, rtol=1e-9, atol=1e-12)

@@ -17,14 +17,19 @@ from corank import (
     SimulationError,
     build_grid,
     elliptical_rank_test,
+    hotelling_two_sample,
     make_law,
     make_spec,
+    manova_test,
+    pillai_manova,
     run_null_distribution,
     run_power_study,
     rank_tests,
     sample,
     scores,
+    shift,
     simulation,
+    sphericized_center_outward_test,
     two_sample_test,
 )
 
@@ -299,11 +304,16 @@ def test_failing_replication_reports_seed(monkeypatch):
     def failing_test(*args, **kwargs):
         raise InvalidInputError("injected failure")
 
-    # the registry looks the test up in the module at call time
-    monkeypatch.setattr(simulation, "two_sample_test", failing_test)
+    # the registry looks the "co" body up in the module at call time
+    monkeypatch.setattr(simulation, "co_test", failing_test)
     cfg = small_config(master_seed=3)
     with pytest.raises(SimulationError, match=r"replication 0 \(seed \[3, 0\]\) "
                        r"failed: co at delta 0\.0: injected failure"):
+        run_power_study(cfg)
+    # a draw is checked and pooled once, before any method runs on it
+    monkeypatch.setattr(simulation, "validate_groups", failing_test)
+    with pytest.raises(SimulationError, match=r"^replication 0 \(seed \[3, 0\]\) "
+                       r"failed: injected failure$"):
         run_power_study(cfg)
 
 
@@ -332,7 +342,7 @@ def test_a_method_failing_every_draw_raises(monkeypatch):
     def degenerate(*args, **kwargs):
         raise DegenerateInputError("injected degenerate draw")
 
-    monkeypatch.setattr(simulation, "hotelling_two_sample", degenerate)
+    monkeypatch.setattr(simulation, "_hotelling", degenerate)
     with pytest.raises(SimulationError, match=r"hotelling at delta 0\.0: injected"):
         run_power_study(small_config(n_replications=3))
 
@@ -361,22 +371,23 @@ def test_power_study_scores_its_grid_once(monkeypatch):
 def test_each_method_runs_every_delta_of_a_replication_in_turn(monkeypatch):
     # a method's calls on one replication follow each other on the study
     # grid, so each starts warm from the one before
-    calls = []
-    co = simulation.two_sample_test
-    sphericized = simulation.sphericized_center_outward_test
-
-    def spy_co(x, y, *args, **kwargs):
-        calls.append(("co", y[0, 0]))
-        return co(x, y, *args, **kwargs)
-
-    def spy_sphericized(groups, *args, **kwargs):
-        calls.append(("co-sphericized", groups[1][0, 0]))
-        return sphericized(groups, *args, **kwargs)
-
-    monkeypatch.setattr(simulation, "two_sample_test", spy_co)
-    monkeypatch.setattr(simulation, "sphericized_center_outward_test", spy_sphericized)
     cfg = small_config(deltas=(0.0, 0.3, 0.6), methods=("co", "co-sphericized"),
                        n_replications=2)
+    # each spy records the first row of the shifted group in the pooled draw
+    calls = []
+    co = simulation.co_test
+    sphericized = simulation._sphericized
+
+    def spy_co(method, pooled, design, *args):
+        calls.append(("co", pooled[cfg.sizes[0], 0]))
+        return co(method, pooled, design, *args)
+
+    def spy_sphericized(pooled, sizes, *args):
+        calls.append(("co-sphericized", pooled[sizes[0], 0]))
+        return sphericized(pooled, sizes, *args)
+
+    monkeypatch.setattr(simulation, "co_test", spy_co)
+    monkeypatch.setattr(simulation, "_sphericized", spy_sphericized)
     statistics, _ = simulation._replicate(cfg)
     grid = build_grid(make_spec(24, 2, symmetrize=True), tie_break_seed=17)
     want = []
@@ -388,3 +399,49 @@ def test_each_method_runs_every_delta_of_a_replication_in_turn(monkeypatch):
         for j, delta in enumerate(cfg.deltas):
             assert statistics[0, j, r] == two_sample_test(x, y + delta, grid=grid).statistic
     assert calls == want
+
+
+# (study, method) -> the public test a study's record must reproduce
+PUBLIC_TESTS = {
+    ("two_sample", "co"): lambda g, cfg, grid: two_sample_test(
+        g[0], g[1], cfg.score, grid=grid),
+    ("two_sample", "co-sphericized"): lambda g, cfg, grid:
+        sphericized_center_outward_test(g, cfg.score, cfg.scatter, grid=grid),
+    ("two_sample", "elliptical"): lambda g, cfg, grid: elliptical_rank_test(g, cfg.score),
+    ("two_sample", "hotelling"): lambda g, cfg, grid: hotelling_two_sample(g[0], g[1]),
+    ("manova", "co"): lambda g, cfg, grid: manova_test(g, cfg.score, grid=grid),
+    ("manova", "co-sphericized"): lambda g, cfg, grid:
+        sphericized_center_outward_test(g, cfg.score, cfg.scatter, grid=grid),
+    ("manova", "elliptical"): lambda g, cfg, grid: elliptical_rank_test(g, cfg.score),
+    ("manova", "pillai"): lambda g, cfg, grid: pillai_manova(g),
+}
+
+
+def test_every_registered_method_is_named_here():
+    assert set(PUBLIC_TESTS) == {
+        (study, method) for study, methods in simulation.METHODS.items()
+        for method in methods
+    }
+
+
+@pytest.mark.parametrize("scatter", ["sample", "tyler"])
+@pytest.mark.parametrize("study, sizes", [("two_sample", (14, 11)),
+                                          ("manova", (10, 12, 9))])
+def test_a_study_records_what_the_public_tests_return(study, sizes, scatter):
+    # the study checks and pools each draw once and runs each method's
+    # body on it; the public test runs its own check, then the same body
+    cfg = SimConfig(study=study, law="t3", sizes=sizes, deltas=(0.0, 0.4, 0.9),
+                    methods=tuple(simulation.METHODS[study]), score="vdw",
+                    scatter=scatter, n_replications=3, master_seed=41)
+    statistics, p_values = simulation._replicate(cfg)
+    law = make_law(cfg.law)
+    grid = build_grid(make_spec(sum(sizes), law.d, symmetrize=True), tie_break_seed=41)
+    for r in range(cfg.n_replications):
+        rng = np.random.default_rng([cfg.master_seed, r])
+        bases = [sample(law, nk, rng) for nk in sizes]
+        for j, delta in enumerate(cfg.deltas):
+            groups = bases[:-1] + [shift(bases[-1], delta)]
+            for i, method in enumerate(cfg.methods):
+                want = PUBLIC_TESTS[study, method](groups, cfg, grid)
+                assert statistics[i, j, r] == want.statistic, (method, delta, r)
+                assert p_values[i, j, r] == want.p_value, (method, delta, r)
