@@ -95,7 +95,8 @@ def sample_covariance(z):
     ------
     InvalidInputError
         If the covariance is too large to represent (entries beyond
-        about 1e308, a sample near 1e154 or more in scale).
+        about 1e308, a sample near 1e154 or more in scale), or so small
+        that a positive variance underflows (a sample near 1e-154).
     """
     z, k = _as_sample(z)
     est = _sample_covariance(z)
@@ -104,6 +105,11 @@ def sample_covariance(z):
     if not np.isfinite(mat).all():
         raise InvalidInputError(
             "sample is too large in scale: its covariance overflows"
+        )
+    var = np.diag(mat)
+    if k < 0 and np.any((var < np.finfo(float).tiny) & (np.diag(est.matrix) > 0)):
+        raise InvalidInputError(
+            "sample is too small in scale: its covariance underflows"
         )
     return replace(est, matrix=mat, location=np.ldexp(est.location, k))
 

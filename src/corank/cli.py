@@ -34,14 +34,13 @@ from .sphere_grid import build_grid, grid_to_csv, make_spec, symmetrizes
 MIN_ROWS = 4
 DEFAULT_SEED = 0
 
-_USAGE_ERRORS = (InvalidSpecError, InvalidScoreError)
-_DATA_ERRORS = (DataError, InvalidInputError)
-_NUMERICAL_ERRORS = (
-    NumericalError,
-    SimulationError,
-    DegenerateDesignError,
-    DegenerateInputError,
-    np.linalg.LinAlgError,
+# (error classes, exit code, message prefix); the first match wins
+_EXITS = (
+    ((InvalidSpecError, InvalidScoreError), 1, "error"),
+    ((DataError, InvalidInputError), 2, "data error"),
+    ((NumericalError, SimulationError, DegenerateDesignError, DegenerateInputError,
+      np.linalg.LinAlgError), 3, "numerical error"),
+    (CorankError, 3, "error"),  # anything else package-specific
 )
 
 
@@ -56,8 +55,12 @@ class _Parser(argparse.ArgumentParser):
 
 def load_csv(path, columns=None):
     """Load numeric columns of a headered CSV as an (n, d) float array."""
+    return _load_table(path, columns)[1]
+
+
+def _load_table(path, columns):
     header, rows = _read_table(path)
-    return _numeric_matrix(path, header, rows, columns)
+    return header, _numeric_matrix(path, header, rows, columns)
 
 
 def _read_table(path):
@@ -183,23 +186,36 @@ def _emit(args, result):
     return 0
 
 
-def _run(study, args, groups, grid):
+def _run_group_test(study, args, groups):
+    grid = _grid(args, sum(g.shape[0] for g in groups), groups[0].shape[1])
     # the public test's check, then the body a power study runs
     pooled, sizes = rank_tests.validate_groups(groups)
     call = METHODS[study][args.method]
-    return call(pooled, sizes, args.score, args.scatter, grid)
+    return _emit(args, call(pooled, sizes, args.score, args.scatter, grid))
+
+
+def _column_order(first, second):
+    """Where each of the first file's columns sits in the second file's."""
+    first, second = ([name.strip() for name in h] for h in (first, second))
+    if sorted(first) != sorted(second) or len(set(first)) < len(first):
+        raise DataError(
+            f"input files have different columns: {first} vs {second}; "
+            "give both files the same column names, or pick shared ones "
+            "with --response-cols"
+        )
+    return [second.index(name) for name in first]
 
 
 def _cmd_two_sample(args):
-    cols = _csv_list(args.response_cols) if args.response_cols else None
-    x = load_csv(args.input[0], cols)
-    y = load_csv(args.input[1], cols)
+    cols = args.response_cols or None
+    (head_x, x), (head_y, y) = (_load_table(path, cols) for path in args.input)
     if x.shape[1] != y.shape[1]:
         raise DataError(
             f"input files differ in dimension: {x.shape[1]} vs {y.shape[1]}"
         )
-    grid = _grid(args, x.shape[0] + y.shape[0], x.shape[1])
-    return _emit(args, _run("two_sample", args, [x, y], grid))
+    if cols is None and head_x != head_y:  # pair the columns by name
+        y = y[:, _column_order(head_x, head_y)]
+    return _run_group_test("two_sample", args, [x, y])
 
 
 def _split_groups(path, group_col, response_cols):
@@ -207,36 +223,29 @@ def _split_groups(path, group_col, response_cols):
     if group_col not in header:
         raise DataError(f"{path}: no column named {group_col!r} in {header}")
     gcol = header.index(group_col)
-    labels = []
-    for row in rows:
-        label = row[gcol].strip()
-        if not label:
-            raise DataError(f"{path}: missing group label (column {group_col!r})")
-        if label not in labels:
-            labels.append(label)
+    labels = [row[gcol].strip() for row in rows]
+    if "" in labels:
+        raise DataError(f"{path}: missing group label (column {group_col!r})")
     cols = response_cols or [name for name in header if name != group_col]
     matrix = _numeric_matrix(path, header, rows, cols)
-    group_of = np.array([labels.index(row[gcol].strip()) for row in rows])
-    groups = [matrix[group_of == k] for k in range(len(labels))]
-    for label, g in zip(labels, groups):
-        if g.shape[0] < 2:
+    column = np.array(labels)
+    groups = []
+    for label in dict.fromkeys(labels):  # in order of first appearance
+        groups.append(matrix[column == label])
+        if groups[-1].shape[0] < 2:
             raise DataError(f"{path}: group {label!r} has fewer than 2 rows")
-    return groups, labels
+    return groups
 
 
 def _cmd_manova(args):
-    cols = _csv_list(args.response_cols) if args.response_cols else None
-    groups, _ = _split_groups(args.input, args.group_col, cols)
-    grid = _grid(args, sum(g.shape[0] for g in groups), groups[0].shape[1])
-    return _emit(args, _run("manova", args, groups, grid))
+    groups = _split_groups(args.input, args.group_col, args.response_cols)
+    return _run_group_test("manova", args, groups)
 
 
 def _cmd_regression(args):
     header, rows = _read_table(args.input)
-    y_cols = _csv_list(args.response_cols)
-    c_cols = _csv_list(args.covariate_cols)
-    y = _numeric_matrix(args.input, header, rows, y_cols)
-    c = _numeric_matrix(args.input, header, rows, c_cols)
+    y = _numeric_matrix(args.input, header, rows, args.response_cols)
+    c = _numeric_matrix(args.input, header, rows, args.covariate_cols)
     beta0 = None
     if args.beta0:
         beta0 = _load_beta0(args.beta0, c.shape[1], y.shape[1])
@@ -248,21 +257,14 @@ def _cmd_regression(args):
 
 def _cmd_simulate(args):
     config = SimConfig.from_json(args.config)
-    curve = run_power_study(config)
-    if args.out:
-        curve.to_csv(args.out)
-    else:
-        curve.to_csv(sys.stdout)
+    run_power_study(config).to_csv(args.out or sys.stdout)
     return 0
 
 
 def _cmd_grid_dump(args):
     grid = _grid(args, args.n, args.d)
     _note_odd_ns(args, grid.spec)
-    if args.out:
-        grid_to_csv(grid, args.out)
-    else:
-        grid_to_csv(grid, sys.stdout)
+    grid_to_csv(grid, args.out or sys.stdout)
     return 0
 
 
@@ -291,6 +293,16 @@ def _add_score_option(sub):
     )
 
 
+def _add_group_test_options(sub, study, func):
+    sub.add_argument("--response-cols", type=_csv_list, help="comma-separated columns")
+    sub.add_argument("--method", default="co", choices=tuple(METHODS[study]))
+    sub.add_argument("--scatter", default="sample", choices=tuple(SCATTERS))
+    _add_score_option(sub)
+    _add_grid_options(sub)
+    _add_output_options(sub)
+    sub.set_defaults(func=func)
+
+
 def build_parser():
     parser = _Parser(
         prog="corank",
@@ -300,35 +312,21 @@ def build_parser():
 
     two = sub.add_parser("two-sample", help="two-sample location test")
     two.add_argument("--input", nargs=2, required=True, metavar=("A.csv", "B.csv"))
-    two.add_argument("--response-cols", default=None, help="comma-separated columns")
-    two.add_argument(
-        "--method", default="co",
-        choices=tuple(METHODS["two_sample"]),
-    )
-    two.add_argument("--scatter", default="sample", choices=tuple(SCATTERS))
-    _add_score_option(two)
-    _add_grid_options(two)
-    _add_output_options(two)
-    two.set_defaults(func=_cmd_two_sample)
+    _add_group_test_options(two, "two_sample", _cmd_two_sample)
 
     man = sub.add_parser("manova", help="K-group location test")
     man.add_argument("--input", required=True, metavar="DATA.csv")
     man.add_argument("--group-col", required=True, help="grouping column name")
-    man.add_argument("--response-cols", default=None, help="comma-separated columns")
-    man.add_argument(
-        "--method", default="co",
-        choices=tuple(METHODS["manova"]),
-    )
-    man.add_argument("--scatter", default="sample", choices=tuple(SCATTERS))
-    _add_score_option(man)
-    _add_grid_options(man)
-    _add_output_options(man)
-    man.set_defaults(func=_cmd_manova)
+    _add_group_test_options(man, "manova", _cmd_manova)
 
     reg = sub.add_parser("regression", help="test a coefficient matrix")
     reg.add_argument("--input", required=True, metavar="DATA.csv")
-    reg.add_argument("--response-cols", required=True, help="comma-separated columns")
-    reg.add_argument("--covariate-cols", required=True, help="comma-separated columns")
+    reg.add_argument(
+        "--response-cols", type=_csv_list, required=True, help="comma-separated columns"
+    )
+    reg.add_argument(
+        "--covariate-cols", type=_csv_list, required=True, help="comma-separated columns"
+    )
     reg.add_argument("--beta0", default=None, help="CSV with the m x d null coefficients")
     _add_score_option(reg)
     _add_grid_options(reg)
@@ -362,18 +360,11 @@ def main(argv=None):
         return 1
     try:
         return args.func(args)
-    except _USAGE_ERRORS as err:
-        print(f"corank: error: {err}", file=sys.stderr)
-        return 1
-    except _DATA_ERRORS as err:
-        print(f"corank: data error: {err}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as err:
-        print(f"corank: numerical error: {err}", file=sys.stderr)
-        return 3
-    except CorankError as err:  # anything else package-specific
-        print(f"corank: error: {err}", file=sys.stderr)
-        return 3
+    except (CorankError, np.linalg.LinAlgError) as err:
+        for classes, code, prefix in _EXITS:
+            if isinstance(err, classes):
+                print(f"corank: {prefix}: {err}", file=sys.stderr)
+                return code
 
 
 def entry():  # console script hook

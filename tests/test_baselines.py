@@ -569,3 +569,18 @@ def test_single_sample_helpers_at_a_scale_whose_squares_overflow(scale):
             assert np.array_equal(got, want * scale)
         else:
             assert np.allclose(got / scale, want, rtol=1e-9, atol=1e-12)
+
+
+def test_sample_covariance_at_a_scale_whose_squares_underflow():
+    z = np.random.default_rng(1).standard_t(3, size=(20, 2))
+    unit = sample_covariance(z).matrix
+    for e in (400, 500):  # small, but every variance still normal
+        got = sample_covariance(z * 2.0**-e)
+        assert np.array_equal(got.matrix, np.ldexp(unit, -2 * e))
+    for e in (515, 530, 600):
+        # a zero variance here would make sphericize refuse the sample as singular
+        with pytest.raises(InvalidInputError, match="too small in scale"):
+            sample_covariance(z * 2.0**-e)
+    # a constant column has no positive variance to lose
+    flat = np.column_stack([z[:, 0], np.full(20, 3.0)]) * 2.0**-400
+    assert sample_covariance(flat).matrix[1, 1] == 0.0

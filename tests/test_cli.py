@@ -351,6 +351,93 @@ def test_dimension_mismatch_between_files(tmp_path, capsys):
     assert "differ in dimension" in capsys.readouterr().err
 
 
+# Every error family the command line maps, with its exit code and prefix.
+ERROR_EXITS = [
+    (corank.errors.InvalidSpecError, 1, "error"),
+    (corank.errors.InvalidScoreError, 1, "error"),
+    (corank.errors.DataError, 2, "data error"),
+    (corank.errors.InvalidInputError, 2, "data error"),
+    (corank.errors.NumericalError, 3, "numerical error"),
+    (corank.errors.SimulationError, 3, "numerical error"),
+    (corank.errors.DegenerateDesignError, 3, "numerical error"),
+    (corank.errors.DegenerateInputError, 3, "numerical error"),
+    (np.linalg.LinAlgError, 3, "numerical error"),
+    (corank.errors.CorankError, 3, "error"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, code, prefix", ERROR_EXITS, ids=[cls.__name__ for cls, _, _ in ERROR_EXITS]
+)
+def test_error_family_exit_code_and_prefix(monkeypatch, capsys, cls, code, prefix):
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(corank.cli, "_cmd_grid_dump", fail)
+    assert main(["grid-dump", "--n", "8", "--d", "2"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"corank: {prefix}: boom\n"
+
+
+def subcommand_options(study, own):
+    """(flags, dest, default, choices) of each option but ``own`` and --help.
+
+    ``--method``'s choices are checked against the study's registry and
+    left out, as they are the one shared option that differs by study.
+    """
+    command = study.replace("_", "-")
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    assert method_choices(command) == tuple(METHODS[study])
+    return [
+        (tuple(a.option_strings), a.dest, a.default,
+         None if a.dest == "method" else a.choices)
+        for a in sub._actions
+        if a.dest not in own and a.dest != "help"
+    ]
+
+
+def test_group_commands_share_their_options():
+    shared = subcommand_options("two_sample", {"input"})
+    assert shared == subcommand_options("manova", {"input", "group_col"})
+    assert [flags[0] for flags, *_ in shared] == [
+        "--response-cols", "--method", "--scatter", "--score",
+        "--nr", "--ns", "--no-symmetrize", "--seed", "--json", "--out",
+    ]
+
+
+def test_two_files_pair_their_columns_by_name(tmp_path, capsys):
+    rng = np.random.default_rng(71)
+    x = rng.standard_normal((30, 2))
+    y = rng.standard_normal((30, 2)) + [1.0, 0.0]
+    a, b, swapped, spaced = (
+        tmp_path / f"{name}.csv" for name in ("a", "b", "swapped", "spaced")
+    )
+    write_csv(a, ["y1", "y2"], x)
+    write_csv(b, ["y1", "y2"], y)
+    write_csv(swapped, ["y2", "y1"], y[:, ::-1])
+    write_csv(spaced, ["y2", " y1"], y[:, ::-1])  # a space after the comma
+    payloads = []
+    for other in (b, swapped, spaced):
+        argv = ["two-sample", "--input", str(a), str(other), "--method", "hotelling",
+                "--json"]
+        assert main(argv) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    for payload in payloads[1:]:
+        assert payload["statistic"] == payloads[0]["statistic"]
+        assert payload["p_value"] == payloads[0]["p_value"]
+
+
+def test_two_files_with_other_column_names_are_data_error(tmp_path, capsys):
+    rng = np.random.default_rng(72)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_csv(a, ["y1", "y2"], rng.standard_normal((6, 2)))
+    write_csv(b, ["u", "v"], rng.standard_normal((6, 2)))
+    assert main(["two-sample", "--input", str(a), str(b)]) == 2
+    err = capsys.readouterr().err
+    assert "['y1', 'y2'] vs ['u', 'v']" in err and "--response-cols" in err
+
+
 def test_degenerate_data_is_numerical_error(tmp_path, capsys):
     t = np.linspace(1.0, 8.0, 8)
     a = tmp_path / "a.csv"
