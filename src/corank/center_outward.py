@@ -238,7 +238,7 @@ def empirical_map(sample, grid):
     potential leads to an optimum; but when several pairings attain it,
     as distinct lattice rows on the d = 2 grid can, which one comes
     back can depend on the last solve on the same gridpoints (ROADMAP
-    Direction 2).
+    Direction 3).
     """
     global _latest
     sample = np.asarray(sample, dtype=float)

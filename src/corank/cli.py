@@ -2,6 +2,9 @@
 
 Subcommands: two-sample, manova, regression, simulate, grid-dump.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
+A file that cannot be opened or written (--input, --beta0, --config or
+--out) is a data error.  Header names are matched with surrounding
+spaces ignored, and a row number in a message is the file's line number.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ DEFAULT_SEED = 0
 _EXITS = (
     ((InvalidSpecError, InvalidScoreError), 1, "error"),
     ((DataError, InvalidInputError), 2, "data error"),
+    (OSError, 2, "data error"),  # a file that cannot be opened or written
     ((NumericalError, SimulationError, DegenerateDesignError, DegenerateInputError,
       np.linalg.LinAlgError), 3, "numerical error"),
     (CorankError, 3, "error"),  # anything else package-specific
@@ -53,9 +57,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def load_csv(path, columns=None):
-    """Load numeric columns of a headered CSV as an (n, d) float array."""
-    return _load_table(path, columns)[1]
+def _read_rows(path):
+    """The file's non-blank CSV rows, each as (file line number, cells)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        return [(reader.line_num, row) for row in reader
+                if any(cell.strip() for cell in row)]
 
 
 def _load_table(path, columns):
@@ -64,25 +71,21 @@ def _load_table(path, columns):
 
 
 def _read_table(path):
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    except OSError as err:
-        raise DataError(f"{path}: {err}") from err
+    rows = _read_rows(path)
     if not rows:
         raise DataError(f"{path}: file is empty")
-    header, body = rows[0], rows[1:]
+    header, body = [name.strip() for name in rows[0][1]], rows[1:]
     if len(body) < MIN_ROWS:
         raise DataError(
             f"{path}: need at least {MIN_ROWS} data rows, found {len(body)}"
         )
-    for i, row in enumerate(body, start=2):
+    for line, row in body:
         if len(row) != len(header):
             raise DataError(
-                f"{path}: row {i} has {len(row)} fields, header has {len(header)}"
+                f"{path}: row {line} has {len(row)} fields, header has {len(header)}"
             )
     return header, body
+
 
 def _column_indices(path, header, columns):
     if columns is None:
@@ -111,20 +114,16 @@ def _cell_value(path, cell, where):
 def _numeric_matrix(path, header, rows, columns):
     idx = _column_indices(path, header, columns)
     out = np.empty((len(rows), len(idx)))
-    for i, row in enumerate(rows, start=2):
+    for i, (line, row) in enumerate(rows):
         for j, col in enumerate(idx):
-            out[i - 2, j] = _cell_value(
-                path, row[col], f"at row {i}, column {header[col]!r}"
+            out[i, j] = _cell_value(
+                path, row[col], f"at row {line}, column {header[col]!r}"
             )
     return out
 
 
 def _load_beta0(path, m, d):
-    try:
-        with open(path, newline="") as fh:
-            rows = [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
-    except OSError as err:
-        raise DataError(f"{path}: {err}") from err
+    rows = _read_rows(path)
     if rows:
         try:
             [float(v) for v in rows[0][1]]
@@ -194,16 +193,15 @@ def _run_group_test(study, args, groups):
     return _emit(args, call(pooled, sizes, args.score, args.scatter, grid))
 
 
-def _column_order(first, second):
-    """Where each of the first file's columns sits in the second file's."""
-    first, second = ([name.strip() for name in h] for h in (first, second))
+def _column_order(path, first, second):
+    """Where each of the first file's columns sits in the second file's, ``path``."""
     if sorted(first) != sorted(second) or len(set(first)) < len(first):
         raise DataError(
             f"input files have different columns: {first} vs {second}; "
             "give both files the same column names, or pick shared ones "
             "with --response-cols"
         )
-    return [second.index(name) for name in first]
+    return _column_indices(path, second, first)
 
 
 def _cmd_two_sample(args):
@@ -214,16 +212,14 @@ def _cmd_two_sample(args):
             f"input files differ in dimension: {x.shape[1]} vs {y.shape[1]}"
         )
     if cols is None and head_x != head_y:  # pair the columns by name
-        y = y[:, _column_order(head_x, head_y)]
+        y = y[:, _column_order(args.input[1], head_x, head_y)]
     return _run_group_test("two_sample", args, [x, y])
 
 
 def _split_groups(path, group_col, response_cols):
     header, rows = _read_table(path)
-    if group_col not in header:
-        raise DataError(f"{path}: no column named {group_col!r} in {header}")
-    gcol = header.index(group_col)
-    labels = [row[gcol].strip() for row in rows]
+    [gcol] = _column_indices(path, header, [group_col])
+    labels = [row[gcol].strip() for _, row in rows]
     if "" in labels:
         raise DataError(f"{path}: missing group label (column {group_col!r})")
     cols = response_cols or [name for name in header if name != group_col]
@@ -360,7 +356,7 @@ def main(argv=None):
         return 1
     try:
         return args.func(args)
-    except (CorankError, np.linalg.LinAlgError) as err:
+    except (CorankError, np.linalg.LinAlgError, OSError) as err:
         for classes, code, prefix in _EXITS:
             if isinstance(err, classes):
                 print(f"corank: {prefix}: {err}", file=sys.stderr)

@@ -234,6 +234,10 @@ def q_general(lam, score_cov, n):
         raise InvalidScoreError(
             f"score covariance must be {lam.shape[1]}x{lam.shape[1]}, got {cov.shape}"
         )
+    # eigvalsh reads one triangle and solve the whole matrix: they must agree
+    scale = np.abs(cov).max()
+    if not np.isfinite(scale) or np.abs(cov - cov.T).max() > 1e-12 * scale:
+        raise InvalidScoreError("score covariance must be finite and symmetric")
     w = np.linalg.eigvalsh(cov)
     if w[0] <= 1e-12 * max(w[-1], 1e-300):
         raise InvalidScoreError("score covariance is singular")

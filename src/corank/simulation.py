@@ -185,6 +185,8 @@ class SimConfig:
                     f"method {m!r} not available for study {self.study!r} "
                     f"(choose from {tuple(METHODS[self.study])})"
                 )
+        if self.master_seed < 0:
+            raise InvalidSpecError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.n_replications < 1:
             raise InvalidSpecError("need at least one replication")
         if not 0.0 < self.alpha < 1.0:

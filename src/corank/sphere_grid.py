@@ -363,6 +363,8 @@ def build_grid(spec, tie_break_seed=0):
     -------
     Grid
     """
+    if tie_break_seed < 0:  # refused at every n_0, not only where it is drawn from
+        raise InvalidSpecError(f"tie-break seed must be >= 0, got {tie_break_seed}")
     dirs = unit_directions(spec.n_s, spec.d, spec.symmetrize)
     scale = 1.0 / (spec.n_r + 1)
 

@@ -116,8 +116,7 @@ def test_json_names_the_null_law(two_files, capsys):
 def test_two_sample_matches_library(two_files, capsys):
     assert main(["two-sample", "--input", *two_files, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    x = corank.cli.load_csv(two_files[0])
-    y = corank.cli.load_csv(two_files[1])
+    x, y = (np.loadtxt(path, delimiter=",", skiprows=1) for path in two_files)
     res = corank.two_sample_test(x, y, "wilcoxon")
     assert payload["statistic"] == pytest.approx(res.statistic, rel=1e-12)
     assert payload["p_value"] == pytest.approx(res.p_value, rel=1e-12)
@@ -341,6 +340,75 @@ def test_ragged_row_is_data_error(tmp_path, capsys):
     assert "row 3" in capsys.readouterr().err
 
 
+def test_messages_name_the_file_line_past_blank_lines(tmp_path, capsys):
+    ok = tmp_path / "ok.csv"
+    write_csv(ok, ["y1", "y2"], np.random.default_rng(73).standard_normal((5, 2)))
+    cell, ragged = tmp_path / "cell.csv", tmp_path / "ragged.csv"
+    # the bad row is the file's line 7, the data's row 5
+    cell.write_text("y1,y2\n\n1,2\n3,4\n\n5,6\n7,x\n9,10\n")
+    ragged.write_text("y1,y2\n\n1,2\n3,4\n\n5,6\n7,8,9\n9,10\n")
+    for path, fragment in [(cell, "'x' at row 7,"), (ragged, "row 7 has 3 fields")]:
+        assert main(["two-sample", "--input", str(path), str(ok)]) == 2
+        assert fragment in capsys.readouterr().err
+
+
+def test_spaced_header_names_match_with_or_without_the_spaces(tmp_path, capsys):
+    rng = np.random.default_rng(74)
+    data = rng.standard_normal((20, 3))
+    x, y = data[:10, :2], data[10:, :2]
+    a, b, groups, reg = (tmp_path / f"{name}.csv" for name in ("a", "b", "groups", "reg"))
+    write_csv(a, ["y1", " y2"], x)  # a header written "y1, y2"
+    write_csv(b, ["y1", " y2"], y)
+    write_csv(groups, ["group", " y1", " y2"], data[:, :2], ["u"] * 10 + ["v"] * 10)
+    write_csv(reg, ["y1", " y2", " c1"], data)
+    runs = [
+        (["two-sample", "--input", str(a), str(b)], corank.two_sample_test(x, y)),
+        (["manova", "--input", str(groups), "--group-col", "group"],
+         corank.manova_test([x, y])),
+        (["regression", "--input", str(reg), "--covariate-cols", "c1"],
+         corank.regression_test(data[:, :2], data[:, 2:])),
+    ]
+    for argv, res in runs:
+        for cols in ("y1,y2", "y1, y2"):
+            assert main([*argv, "--response-cols", cols, "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["statistic"] == pytest.approx(res.statistic, rel=1e-12)
+
+
+def test_a_file_that_cannot_be_opened_or_written_is_data_error(tmp_path, two_files,
+                                                               capsys):
+    missing = str(tmp_path / "missing.csv")
+    nowhere = str(tmp_path / "no-such-dir" / "out.txt")
+    reg = tmp_path / "reg.csv"
+    write_csv(reg, ["y1", "y2", "c1"], np.random.default_rng(75).standard_normal((10, 3)))
+    cpath = tmp_path / "study.json"
+    cpath.write_text(json.dumps({"sizes": [5, 5], "n_replications": 1}))
+    for argv, path in [
+        (["two-sample", "--input", two_files[0], missing], missing),
+        (["manova", "--input", missing, "--group-col", "group"], missing),
+        (["regression", "--input", str(reg), "--response-cols", "y1,y2",
+          "--covariate-cols", "c1", "--beta0", missing], missing),
+        (["simulate", "--config", missing], missing),
+        (["two-sample", "--input", *two_files, "--out", nowhere], nowhere),
+        (["simulate", "--config", str(cpath), "--out", nowhere], nowhere),
+        (["grid-dump", "--n", "8", "--d", "2", "--out", nowhere], nowhere),
+    ]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("corank: data error: ")
+        assert repr(path) in captured.err and "Traceback" not in captured.err
+
+
+def test_negative_seed_is_usage_error(capsys):
+    # n = 14 draws its two tie-break directions with the seed, n = 11 draws none
+    for n in ("11", "14"):
+        assert main(["grid-dump", "--n", n, "--d", "2", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "corank: error: tie-break seed must be >= 0, got -1\n"
+
+
 def test_dimension_mismatch_between_files(tmp_path, capsys):
     rng = np.random.default_rng(68)
     a = tmp_path / "a.csv"
@@ -357,6 +425,7 @@ ERROR_EXITS = [
     (corank.errors.InvalidScoreError, 1, "error"),
     (corank.errors.DataError, 2, "data error"),
     (corank.errors.InvalidInputError, 2, "data error"),
+    (OSError, 2, "data error"),
     (corank.errors.NumericalError, 3, "numerical error"),
     (corank.errors.SimulationError, 3, "numerical error"),
     (corank.errors.DegenerateDesignError, 3, "numerical error"),

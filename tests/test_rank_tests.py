@@ -237,6 +237,21 @@ def test_q_general_rejects_singular_covariance():
         q_general(np.ones((1, 2)), np.ones((2, 2)), 10)
 
 
+@pytest.mark.parametrize(
+    "cov",
+    [[[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 2.0], [0.0, 1.0]]],
+    ids=["infinite", "nan", "non-symmetric"],
+)
+def test_vector_score_refuses_a_covariance_it_cannot_trust(cov):
+    # eigvalsh's singularity check reads one triangle; the solve reads both
+    rng = np.random.default_rng(46)
+    x, y = rng.standard_normal((12, 2)), rng.standard_normal((14, 2))
+    with pytest.raises(corank.InvalidScoreError, match="finite and symmetric"):
+        two_sample_test(x, y, VectorScore(lambda p: p, cov))
+    with pytest.raises(corank.InvalidScoreError, match="finite and symmetric"):
+        q_general(np.ones((1, 2)), cov, 10)
+
+
 def test_q_spherical_plug_in_example():
     lam = np.array([[0.1, -0.2]])
     # 100 * 2 * 3 * 0.05

@@ -95,6 +95,12 @@ def test_config_validation():
             SimConfig(**bad)
 
 
+def test_negative_master_seed_is_a_spec_error():
+    # it seeds the grid's tie-break draw and every replication's generator
+    with pytest.raises(InvalidSpecError, match="master_seed must be >= 0"):
+        SimConfig(master_seed=-1)
+
+
 # a numeric field and a JSON value for it holding a boolean
 BOOLEAN_FIELDS = {
     "n_replications": "true", "master_seed": "false", "alpha": "true",

@@ -183,6 +183,13 @@ def test_build_grid_deterministic():
     assert not np.array_equal(a.points, c.points)
 
 
+@pytest.mark.parametrize("n", [11, 12, 14, 23, 27])
+def test_build_grid_refuses_a_negative_seed(n):
+    # only n_0 >= 2 draws from the seed (n = 14, 23, 27); 11 and 12 are refused too
+    with pytest.raises(InvalidSpecError, match="tie-break seed must be >= 0"):
+        build_grid(make_spec(n, 2, symmetrize=True), tie_break_seed=-1)
+
+
 def test_grid_radius_counts_and_norm_bound():
     for n in (36, 100, 126):
         spec = make_spec(n, 2, symmetrize=True)
