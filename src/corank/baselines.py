@@ -17,10 +17,14 @@ with a fixed grid only the Cholesky choice makes the statistic exactly
 invariant under shifts and positive-diagonal triangular rescalings.
 
 Each K-group test is ``rank_tests.validate_groups`` followed by a body
-on the pooled sample (``_hotelling``, ``_pillai``, ``_elliptical``,
-``_sphericized``), which a power study and the command line run after
-that same check.  The public single-sample helpers check their sample
-and call the same estimators as the bodies, which skip those checks.
+(``_hotelling``, ``_pillai``, ``_elliptical``, ``_sphericized``) run on
+the pooled sample as a one-draw stack; a power study runs the same body
+once on a ``(B, n, d)`` stack of checked draws, and the command line
+after that same check.  A body returns ``(result, errors)`` as
+``rank_tests.co_test`` does: a draw it cannot handle, such as one with
+a singular scatter matrix, fails alone.  The public single-sample
+helpers check their sample and call the same estimators as the bodies,
+which skip those checks.
 """
 
 from __future__ import annotations
@@ -41,10 +45,13 @@ from .errors import (
 )
 from .rank_tests import (
     TestResult,
+    _failed,
+    _outcome,
     _scale_exponent,
     co_test,
     group_design,
     k_sample_statistic,
+    one_draw,
     validate_groups,
 )
 from .scores import chi_sq_sf, get_score
@@ -80,11 +87,22 @@ def _as_sample(z):
     return (np.ldexp(z, -k) if k else z), k
 
 
+def _gram(a):
+    """``a' a`` of each (n, d) matrix in a stack."""
+    return np.swapaxes(a, -1, -2) @ a
+
+
+def _singular(w, tol):
+    """The draws whose ascending eigenvalues ``w`` (..., d) are numerically singular."""
+    return (w[..., 0] < tol * np.maximum(w[..., -1], 1e-300)) | (w[..., -1] <= 0)
+
+
 def _sample_covariance(z):
-    # np.mean's value, without its fixed cost of about 1 us per call
-    loc = z.sum(axis=0) / z.shape[0]
-    diffs = z - loc
-    mat = diffs.T @ diffs / (z.shape[0] - 1)
+    # of each (n, d) sample in a stack; np.mean's value, without its fixed
+    # cost of about 1 us per call
+    n = z.shape[-2]
+    loc = z.sum(axis=-2) / n
+    mat = _gram(z - loc[..., None, :]) / (n - 1)
     return ScatterEstimate(matrix=mat, location=loc, kind="sample")
 
 
@@ -168,32 +186,80 @@ def tyler_scatter(z, location=None):
     return replace(est, location=np.ldexp(est.location, k))
 
 
-# scatter name -> estimator on a sample that validate_groups has checked;
-# the names sphericized_center_outward_test accepts
-SCATTERS = {"sample": _sample_covariance, "tyler": _tyler}
+def _tylers(z, errors):
+    """Tyler's scatter of each sample in a stack, iterated draw by draw.
 
-
-def _sphericize(z, matrix, location, root):
-    diffs = z - location
-    if root == "cholesky":
+    A draw whose iteration raises is recorded in ``errors`` and given
+    the identity at the origin, which the later steps pass over.
+    """
+    count, _, d = z.shape
+    matrix = np.tile(np.eye(d), (count, 1, 1))
+    location = np.zeros((count, d))
+    for k, sample in enumerate(z):
         try:
-            low = np.linalg.cholesky(matrix)
+            est = _tyler(sample)
+        except Exception as err:  # the draw fails alone
+            errors[k] = err
+        else:
+            matrix[k], location[k] = est.matrix, est.location
+    return ScatterEstimate(matrix=matrix, location=location, kind="tyler")
+
+
+# scatter name -> estimator on a stack of samples that validate_groups has
+# checked, recording in errors the draws it fails on; the names
+# sphericized_center_outward_test accepts
+SCATTERS = {
+    "sample": lambda z, errors: _sample_covariance(z),
+    "tyler": _tylers,
+}
+
+
+def _cholesky(matrix, errors):
+    """Lower Cholesky factors of a stack; a draw that has none fails alone."""
+    try:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        pass
+    low = np.zeros_like(matrix)
+    for k, mat in enumerate(matrix):
+        try:
+            low[k] = np.linalg.cholesky(mat)
         except np.linalg.LinAlgError as err:
-            raise DegenerateInputError(f"scatter matrix not positive definite: {err}") from err
-        # L x = diffs' solved as U' x = diffs' with U = low.T, the Fortran
-        # view scipy.linalg.solve_triangular passes LAPACK for a C-ordered
-        # factor, so z is the same to the bit; the inputs are finite, and
-        # diffs is this call's own scratch to overwrite
-        x, info = dtrtrs(low.T, diffs.T, lower=0, trans=1, overwrite_b=1)
-        if info != 0:
-            raise DegenerateInputError(f"triangular solve failed (LAPACK info {info})")
-        return x.T
+            errors.setdefault(k, DegenerateInputError(
+                f"scatter matrix not positive definite: {err}"))
+    return low
+
+
+def _sphericize(z, matrix, location, root, errors):
+    """Each sample of a ``(B, n, d)`` stack standardized by its own scatter.
+
+    A draw whose matrix is singular or, for the Cholesky root, not
+    positive definite is added to ``errors``.  The rows of a draw in
+    ``errors`` come back in no particular frame.
+    """
+    diffs = z - location[:, None, :]
+    if root == "cholesky":
+        low = _cholesky(matrix, errors)
+        for k in range(len(z)):
+            if k in errors:
+                continue
+            # L x = diffs' solved as U' x = diffs' with U = low.T, the Fortran
+            # view scipy.linalg.solve_triangular passes LAPACK for a C-ordered
+            # factor, so z is the same to the bit; the inputs are finite, and
+            # diffs is this call's own scratch to overwrite
+            x, info = dtrtrs(low[k].T, diffs[k].T, lower=0, trans=1, overwrite_b=1)
+            if info != 0:
+                errors[k] = DegenerateInputError(
+                    f"triangular solve failed (LAPACK info {info})")
+            diffs[k] = x.T
+        return diffs
     w, u = np.linalg.eigh(matrix)
-    if w[0] < 1e-10 * max(w[-1], 1e-300) or w[-1] <= 0:
-        raise DegenerateInputError(
-            f"scatter matrix is numerically singular (eigenvalues {w})"
-        )
-    return diffs @ ((u / np.sqrt(w)) @ u.T)
+    bad = _singular(w, 1e-10)
+    if bad.any():
+        _failed(errors, bad, lambda k: DegenerateInputError(
+            f"scatter matrix is numerically singular (eigenvalues {w[k]})"))
+        w = np.where(bad[:, None], 1.0, w)
+    return diffs @ ((u / np.sqrt(w)[:, None, :]) @ np.swapaxes(u, -1, -2))
 
 
 def sphericize(z, scatter, root="symmetric"):
@@ -220,17 +286,26 @@ def sphericize(z, scatter, root="symmetric"):
     location = np.asarray(scatter.location, dtype=float)
     if not (np.isfinite(matrix).all() and np.isfinite(location).all()):
         raise InvalidInputError("scatter estimate has non-finite entries")
-    return np.ldexp(_sphericize(z, matrix, np.ldexp(location, -k), root), k)
+    errors = {}
+    x = _sphericize(z[None], matrix[None], np.ldexp(location, -k)[None], root, errors)
+    if errors:
+        raise errors[0]
+    return np.ldexp(x[0], k)
 
 
-def _elliptical_ranks_signs(z_ell):
-    moduli = np.sqrt((z_ell * z_ell).sum(axis=1))  # np.linalg.norm's rows
-    if np.any(moduli < 1e-300):
-        raise DegenerateInputError("zero residual has no direction")
-    n = z_ell.shape[0]
-    ranks = np.empty(n)
-    ranks[np.argsort(moduli, kind="stable")] = np.arange(1.0, n + 1.0)
-    return RanksSigns(rank=ranks, sign=z_ell / moduli[:, None], n_r=n)
+def _elliptical_ranks_signs(z_ell, errors):
+    # of each sample in a (B, n, d) stack; a draw with a zero row fails alone
+    moduli = np.sqrt((z_ell * z_ell).sum(axis=-1))  # np.linalg.norm's rows
+    zero = moduli < 1e-300
+    n = z_ell.shape[-2]
+    ranks = np.empty(moduli.shape)
+    np.put_along_axis(ranks, np.argsort(moduli, axis=-1, kind="stable"),
+                      np.arange(1.0, n + 1.0), axis=-1)
+    if zero.any():
+        _failed(errors, zero.any(axis=-1),
+                lambda k: DegenerateInputError("zero residual has no direction"))
+        moduli = np.where(zero, 1.0, moduli)
+    return RanksSigns(rank=ranks, sign=z_ell / moduli[..., None], n_r=n)
 
 
 def elliptical_ranks_signs(z_ell):
@@ -241,27 +316,34 @@ def elliptical_ranks_signs(z_ell):
     scale, so a sample far from unit scale is brought back by an exact
     power of two first.
     """
-    return _elliptical_ranks_signs(_as_sample(z_ell)[0])
+    errors = {}
+    rs = _elliptical_ranks_signs(_as_sample(z_ell)[0][None], errors)
+    if errors:
+        raise errors[0]
+    return RanksSigns(rank=rs.rank[0], sign=rs.sign[0], n_r=rs.n_r)
 
 
 def _elliptical(pooled, sizes, score):
-    n, d = pooled.shape
+    count, n, d = pooled.shape
     score = get_score(score, d)
     est = _sample_covariance(pooled)
-    z = _sphericize(pooled, est.matrix, est.location, "symmetric")
-    rs = _elliptical_ranks_signs(z)
+    errors = {}
+    z = _sphericize(pooled, est.matrix, est.location, "symmetric", errors)
+    rs = _elliptical_ranks_signs(z, errors)
+    if len(errors) == count:  # no draw left: its own error, not the score's, is reported
+        return None, errors
     stat = k_sample_statistic(rs, sizes, score)
     dof = (len(sizes) - 1) * d
     method = "elliptical-two-sample" if len(sizes) == 2 else "elliptical-manova"
-    return TestResult(
+    return _outcome(TestResult(
         method=method,
         statistic=stat,
         dof=dof,
-        p_value=float(chi_sq_sf(dof, stat)),
+        p_value=chi_sq_sf(dof, stat),
         n=n,
         d=d,
         score=getattr(score, "kind", "vector"),
-    )
+    ), errors)
 
 
 def elliptical_rank_test(samples, score="wilcoxon"):
@@ -271,16 +353,18 @@ def elliptical_rank_test(samples, score="wilcoxon"):
     ranks and directions then feed the same standardized linear rank
     statistic as the center-outward tests (chi-square, (K-1)*d dof).
     """
-    return _elliptical(*validate_groups(samples), score)
+    pooled, sizes = validate_groups(samples)
+    return one_draw(_elliptical(pooled[None], sizes, score))
 
 
 def _sphericized(pooled, sizes, score, scatter, grid):
-    est = SCATTERS[scatter](pooled)
-    z = _sphericize(pooled, est.matrix, est.location, "cholesky")
+    errors = {}
+    est = SCATTERS[scatter](pooled, errors)
+    z = _sphericize(pooled, est.matrix, est.location, "cholesky", errors)
     method = (
         "co-sphericized-two-sample" if len(sizes) == 2 else "co-sphericized-manova"
     )
-    return co_test(method, z, group_design(sizes), score, grid)
+    return co_test(method, z, group_design(sizes), score, grid, errors)
 
 
 def sphericized_center_outward_test(samples, score="wilcoxon", scatter="sample", *,
@@ -298,14 +382,12 @@ def sphericized_center_outward_test(samples, score="wilcoxon", scatter="sample",
         raise InvalidInputError(
             f"unknown scatter {scatter!r}; expected one of {sorted(SCATTERS)}"
         )
-    return _sphericized(pooled, sizes, score, scatter, grid)
+    return one_draw(_sphericized(pooled[None], sizes, score, scatter, grid))
 
 
 def _f_sf(x, df1, df2):
-    # F upper tail via the regularized incomplete beta
-    if x <= 0:
-        return 1.0
-    return float(betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * x)))
+    # F upper tail via the regularized incomplete beta, elementwise
+    return np.where(x <= 0, 1.0, betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * x)))
 
 
 def hotelling_two_sample(sample1, sample2):
@@ -315,30 +397,34 @@ def hotelling_two_sample(sample1, sample2):
     reported through ``F = T^2 (n - 1 - d) / ((n - 2) d)`` on
     ``(d, n - 1 - d)`` degrees of freedom.
     """
-    return _hotelling(*validate_groups([sample1, sample2]))
+    pooled, sizes = validate_groups([sample1, sample2])
+    return one_draw(_hotelling(pooled[None], sizes))
 
 
 def _hotelling(pooled, sizes):
     n1, n2 = sizes
-    n, d = pooled.shape
+    _, n, d = pooled.shape
     if n - 1 - d < 1:
         raise InvalidInputError(
             f"Hotelling needs n >= d + 2, got n={n}, d={d}"
         )
-    x, y = pooled[:n1], pooled[n1:]
-    mean_x = x.sum(axis=0) / n1  # np.mean's values, as in _sample_covariance
-    mean_y = y.sum(axis=0) / n2
-    dx = x - mean_x
-    dy = y - mean_y
-    cov = (dx.T @ dx + dy.T @ dy) / (n - 2)
-    w = np.linalg.eigvalsh(cov)
-    if w[0] < 1e-12 * max(w[-1], 1e-300) or w[-1] <= 0:
-        raise DegenerateInputError("pooled covariance is singular")
+    x, y = pooled[:, :n1], pooled[:, n1:]
+    mean_x = x.sum(axis=1) / n1  # np.mean's values, as in _sample_covariance
+    mean_y = y.sum(axis=1) / n2
+    cov = (_gram(x - mean_x[:, None]) + _gram(y - mean_y[:, None])) / (n - 2)
+    errors = {}
+    bad = _singular(np.linalg.eigvalsh(cov), 1e-12)
+    if bad.any():
+        _failed(errors, bad, lambda k: DegenerateInputError(
+            "pooled covariance is singular"))
+        cov[bad] = np.eye(d)
     diff = mean_x - mean_y
-    t_sq = float(n1 * n2 / n * diff @ np.linalg.solve(cov, diff))
+    # (n1 n2 / n) diff, dotted with the solve as a vector @ vector
+    t_sq = ((n1 * n2 / n * diff)[:, None, :]
+            @ np.linalg.solve(cov, diff[:, :, None]))[:, 0, 0]
     f_stat = t_sq * (n - 1 - d) / ((n - 2) * d)
     dof = (d, n - 1 - d)
-    return TestResult(
+    return _outcome(TestResult(
         method="hotelling",
         statistic=t_sq,
         dof=dof,
@@ -346,7 +432,7 @@ def _hotelling(pooled, sizes):
         null_dist="f",
         n=n,
         d=d,
-    )
+    ), errors)
 
 
 def pillai_manova(samples):
@@ -355,38 +441,42 @@ def pillai_manova(samples):
     ``V = trace(H (H + E)^{-1})`` from the between- and within-group
     SSCP matrices.
     """
-    return _pillai(*validate_groups(samples))
+    pooled, sizes = validate_groups(samples)
+    return one_draw(_pillai(pooled[None], sizes))
 
 
 def _pillai(pooled, sizes):
-    n, d = pooled.shape
+    count, n, d = pooled.shape
     k = len(sizes)
     if n - k - d - 1 < 0:
         raise InvalidInputError(
             f"Pillai needs n >= K + d + 1, got n={n}, K={k}, d={d}"
         )
-    grand = pooled.mean(axis=0)
-    h = np.zeros((d, d))
-    e = np.zeros((d, d))
+    grand = pooled.mean(axis=1)
+    h = np.zeros((count, d, d))
+    e = np.zeros((count, d, d))
     for start, n_k in zip(accumulate(sizes, initial=0), sizes):
-        group = pooled[start : start + n_k]
-        mean_k = group.mean(axis=0)
-        dev = (mean_k - grand)[:, None]
-        h += n_k * (dev @ dev.T)
-        resid = group - mean_k
-        e += resid.T @ resid
+        group = pooled[:, start : start + n_k]
+        mean_k = group.mean(axis=1)
+        dev = (mean_k - grand)[:, :, None]
+        h += n_k * (dev @ np.swapaxes(dev, -1, -2))
+        e += _gram(group - mean_k[:, None])
     total = h + e
-    w = np.linalg.eigvalsh(total)
-    if w[0] < 1e-12 * max(w[-1], 1e-300) or w[-1] <= 0:
-        raise DegenerateInputError("total SSCP matrix is singular")
-    v = float(np.trace(np.linalg.solve(total, h)))
+    errors = {}
+    bad = _singular(np.linalg.eigvalsh(total), 1e-12)
+    if bad.any():
+        _failed(errors, bad, lambda k: DegenerateInputError(
+            "total SSCP matrix is singular"))
+        total[bad] = np.eye(d)
+    v = np.trace(np.linalg.solve(total, h), axis1=-2, axis2=-1)
     s = min(d, k - 1)
     m_par = (abs(d - k + 1) - 1) / 2.0
     n_par = (n - k - d - 1) / 2.0
     df1 = int(round(s * (2 * m_par + s + 1)))
     df2 = int(round(s * (2 * n_par + s + 1)))
-    f_stat = (df2 / df1) * (v / (s - v)) if s > v else np.inf
-    return TestResult(
+    with np.errstate(divide="ignore"):  # v = s is taken as inf
+        f_stat = np.where(s > v, (df2 / df1) * (v / (s - v)), np.inf)
+    return _outcome(TestResult(
         method="pillai",
         statistic=v,
         dof=(df1, df2),
@@ -394,4 +484,4 @@ def _pillai(pooled, sizes):
         null_dist="f",
         n=n,
         d=d,
-    )
+    ), errors)

@@ -2,9 +2,10 @@
 
 Subcommands: two-sample, manova, regression, simulate, grid-dump.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
-A file that cannot be opened or written (--input, --beta0, --config or
---out) is a data error.  Header names are matched with surrounding
-spaces ignored, and a row number in a message is the file's line number.
+A file that cannot be opened, decoded or written (--input, --beta0,
+--config or --out) is a data error.  Header names are matched with
+surrounding spaces ignored, and a row number in a message is the file's
+line number.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -61,8 +63,11 @@ def _read_rows(path):
     """The file's non-blank CSV rows, each as (file line number, cells)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        return [(reader.line_num, row) for row in reader
-                if any(cell.strip() for cell in row)]
+        try:
+            return [(reader.line_num, row) for row in reader
+                    if any(cell.strip() for cell in row)]
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: {err}") from None
 
 
 def _load_table(path, columns):
@@ -190,7 +195,8 @@ def _run_group_test(study, args, groups):
     # the public test's check, then the body a power study runs
     pooled, sizes = rank_tests.validate_groups(groups)
     call = METHODS[study][args.method]
-    return _emit(args, call(pooled, sizes, args.score, args.scatter, grid))
+    return _emit(args, rank_tests.one_draw(
+        call(pooled[None], sizes, args.score, args.scatter, grid)))
 
 
 def _column_order(path, first, second):
@@ -253,7 +259,11 @@ def _cmd_regression(args):
 
 def _cmd_simulate(args):
     config = SimConfig.from_json(args.config)
-    run_power_study(config).to_csv(args.out or sys.stdout)
+    # --out is opened, and truncated, before the study runs, so a path that
+    # cannot be written costs no study
+    out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+    with out as fh:
+        run_power_study(config).to_csv(fh)
     return 0
 
 

@@ -13,7 +13,10 @@ depends on it only through that matrix.
 
 The two-sample and MANOVA tests are the regression test on the
 dummy-coded design of the groups, so every center-outward test runs
-the same body.  The statistic is a pure function of the assignment,
+the same body, ``co_test``.  A body takes a ``(B, n, d)`` stack of
+draws, so that a power study runs it once per block of replications; a
+public test runs it on a one-draw stack and reads off that draw with
+``one_draw``.  The statistic is a pure function of the assignment,
 hence exactly distribution-free under the null: each observation's
 vector score is the row of the grid's own score table
 (:meth:`~corank.sphere_grid.Grid.score_table`) that the assignment picks.
@@ -22,7 +25,7 @@ vector score is the row of the grid's own score table
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -215,25 +218,30 @@ def lambda_tilde(design, rs, score):
 
 
 def _lambda(design, v):
-    if v.shape[0] != design.n:
+    # v may carry leading stack axes, one (n, d) block of scores per draw
+    if v.shape[-2] != design.n:
         raise InvalidInputError(
-            f"design has {design.n} rows but ranks cover {v.shape[0]} observations"
+            f"design has {design.n} rows but ranks cover {v.shape[-2]} observations"
         )
     return design._standardized.T @ v / design.n
+
+
+def _float_or_array(q):
+    return float(q) if q.ndim == 0 else q
 
 
 def q_general(lam, score_cov, n):
     """Quadratic form for a general score covariance.
 
     ``n * vec(lam)' (cov^{-1} kron I_m) vec(lam)``, equal to
-    ``n * trace(cov^{-1} lam' lam)``.
+    ``n * trace(cov^{-1} lam' lam)``.  A ``lam`` with leading stack axes
+    gives an array of forms, one per (m, d) matrix.
     """
     lam = np.asarray(lam, dtype=float)
     cov = np.asarray(score_cov, dtype=float)
-    if cov.shape != (lam.shape[1], lam.shape[1]):
-        raise InvalidScoreError(
-            f"score covariance must be {lam.shape[1]}x{lam.shape[1]}, got {cov.shape}"
-        )
+    d = lam.shape[-1]
+    if cov.shape != (d, d):
+        raise InvalidScoreError(f"score covariance must be {d}x{d}, got {cov.shape}")
     # eigvalsh reads one triangle and solve the whole matrix: they must agree
     scale = np.abs(cov).max()
     if not np.isfinite(scale) or np.abs(cov - cov.T).max() > 1e-12 * scale:
@@ -241,13 +249,17 @@ def q_general(lam, score_cov, n):
     w = np.linalg.eigvalsh(cov)
     if w[0] <= 1e-12 * max(w[-1], 1e-300):
         raise InvalidScoreError("score covariance is singular")
-    return float(n * np.trace(np.linalg.solve(cov, lam.T @ lam)))
+    gram = np.linalg.solve(cov, np.swapaxes(lam, -1, -2) @ lam)
+    return _float_or_array(n * np.trace(gram, axis1=-2, axis2=-1))
 
 
 def q_spherical(lam, score, d, n):
-    """Quadratic form for spherical scores: ``(n d / |J|^2) ||lam||_F^2``."""
+    """Quadratic form for spherical scores: ``(n d / |J|^2) ||lam||_F^2``.
+
+    A ``lam`` with leading stack axes gives an array of forms.
+    """
     lam = np.asarray(lam, dtype=float)
-    return float(n * d / score.norm_sq() * (lam * lam).sum())
+    return _float_or_array(n * d / score.norm_sq() * (lam * lam).sum(axis=(-2, -1)))
 
 
 def _dummy_covariates(sizes):
@@ -273,7 +285,7 @@ def _quadratic_form(design, v, score, cov):
     ``cov`` is None for a spherical score, else the score covariance.
     """
     lam = _lambda(design, v)
-    n, d = v.shape
+    n, d = v.shape[-2:]
     if cov is None:
         return q_spherical(lam, score, d, n)
     return q_general(lam, cov, n)
@@ -283,9 +295,10 @@ def k_sample_statistic(rs, sizes, score):
     """Statistic for a K-group comparison from pooled ranks and signs.
 
     The regression statistic on the dummy-coded design of the groups.
-    Baselines reuse this with their own rank containers.  There is no
-    grid to estimate a covariance on, so a VectorScore must carry its
-    own.
+    Baselines reuse this with their own rank containers, whose ranks
+    and signs may carry a leading stack axis, one statistic per draw.
+    There is no grid to estimate a covariance on, so a VectorScore must
+    carry its own.
     """
     v = score.vector_scores(rs)
     cov = None if isinstance(score, ScoreFunction) else score.score_cov(rs.d)
@@ -319,38 +332,83 @@ def validate_groups(samples):
     return pooled, tuple(a.shape[0] for a in arrays)
 
 
-def co_test(method, z, design, score, grid):
+def _failed(errors, bad, error):
+    """Record ``error(k)`` for each draw k flagged in ``bad`` not failed yet."""
+    for k in np.flatnonzero(bad):
+        errors.setdefault(int(k), error(k))
+
+
+def _outcome(result, errors):
+    """A body's return: its result over the stack, NaN at the failed draws.
+
+    The statistic and p-value arrays are the body's own, set in place.
+    """
+    failed = list(errors)
+    result.statistic[failed] = result.p_value[failed] = np.nan
+    return result, errors
+
+
+def one_draw(outcome):
+    """The TestResult of a test body run on a one-draw stack.
+
+    ``outcome`` is the body's ``(result, errors)``; the draw's error,
+    if it failed, is raised.
+    """
+    result, errors = outcome
+    if errors:
+        raise errors[0]
+    return replace(result, statistic=float(result.statistic[0]),
+                   p_value=float(result.p_value[0]))
+
+
+def co_test(method, z, design, score, grid, errors=None):
     """The one center-outward test body; every test reports through it.
 
-    Assigns the (n, d) sample ``z`` to ``grid`` (by default the balanced
-    symmetrized grid for its shape), reads each observation's vector
-    score from the grid's table, and returns the chi-square test of the
-    standardized ``design`` as a :class:`TestResult` named ``method``.
+    Assigns each (n, d) sample of the ``(B, n, d)`` stack ``z``, in
+    stack order, to ``grid`` (by default the balanced symmetrized grid
+    for its shape), reads each observation's vector score from the
+    grid's table, and forms the chi-square test of the standardized
+    ``design`` for every draw at once.  ``errors`` maps a draw that
+    failed before the test, which it skips, to its exception; a draw
+    whose assignment raises is added to it.
+
+    Returns ``(result, errors)``: a :class:`TestResult` named
+    ``method`` whose statistic and p-value are (B,) arrays, NaN at the
+    failed draws (None when every draw failed), and the errors.
     """
-    n, d = z.shape
+    count, n, d = z.shape
     score = get_score(score, d)
     if grid is None:
         grid = build_grid(make_spec(n, d, symmetrize=True))
-    com = empirical_map(z, grid)
+    errors = {} if errors is None else errors
+    assignment = np.zeros((count, n), dtype=np.intp)
+    for k, sample in enumerate(z):
+        if k not in errors:
+            try:
+                assignment[k] = empirical_map(sample, grid).assignment
+            except Exception as err:  # the draw fails alone
+                errors[k] = err
+    if len(errors) == count:  # no draw left: its own error, not the score's, is reported
+        return None, errors
     table, cov = grid.score_table(score)
-    stat = _quadratic_form(design, table[com.assignment], score, cov)
+    stat = _quadratic_form(design, table[assignment], score, cov)
     dof = design.m * d
-    return TestResult(
+    return _outcome(TestResult(
         method=method,
         statistic=stat,
         dof=dof,
-        p_value=float(chi_sq_sf(dof, stat)),
+        p_value=chi_sq_sf(dof, stat),
         n=n,
         d=d,
         score=getattr(score, "kind", "vector"),
         grid_spec=grid.spec,
         seed=grid.tie_break_seed,
-    )
+    ), errors)
 
 
 def _groups_test(method, samples, score, grid):
     pooled, sizes = validate_groups(samples)
-    return co_test(method, pooled, group_design(sizes), score, grid)
+    return one_draw(co_test(method, pooled[None], group_design(sizes), score, grid))
 
 
 def two_sample_test(sample1, sample2, score="wilcoxon", *, grid=None):
@@ -415,4 +473,5 @@ def regression_test(y, c, beta0=None, score="wilcoxon", *, grid=None):
     z = residuals(y, c, beta0)
     # an unknown score is reported before a degenerate design
     score = get_score(score, z.shape[1])
-    return co_test("co-regression", z, standardize_design(c), score, grid)
+    design = standardize_design(c)
+    return one_draw(co_test("co-regression", z[None], design, score, grid))

@@ -137,7 +137,7 @@ class ScoreFunction:
         return self.norm_sq_value
 
     def vector_scores(self, rs):
-        """Per-observation vector scores ``J(rank/(n_r+1)) * sign``, (n, d).
+        """Per-observation vector scores ``J(rank/(n_r+1)) * sign``, (..., n, d).
 
         Ranks that are all whole numbers in 1..n_r, as elliptical ranks
         (a permutation of 1..n) always are, are read from J evaluated
@@ -149,13 +149,13 @@ class ScoreFunction:
         rank = rs.rank
         if not (rank.size and rank.min() >= 1 and rank.max() <= rs.n_r
                 and (rank == np.floor(rank)).all()):
-            return np.asarray(self.evaluate(rank / rs.rank_divisor))[:, None] * rs.sign
+            return np.asarray(self.evaluate(rank / rs.rank_divisor))[..., None] * rs.sign
         entry = self._levels[0]
         if entry is None or entry[0] != rs.n_r:
             whole = np.arange(1.0, rs.n_r + 1.0)
             entry = (rs.n_r, self.evaluate(whole / rs.rank_divisor))
             self._levels[0] = entry
-        return entry[1][rank.astype(np.intp) - 1][:, None] * rs.sign
+        return entry[1][rank.astype(np.intp) - 1][..., None] * rs.sign
 
     def score_cov(self, d):
         """Score covariance; spherical scores give ``(norm_sq/d) * I``."""
@@ -227,15 +227,17 @@ class VectorScore:
     cov: np.ndarray | None = None
 
     def vector_scores(self, rs):
-        pts = (rs.rank / rs.rank_divisor)[:, None] * rs.sign
-        out = np.asarray(self.fn(pts), dtype=float)
-        if out.shape != pts.shape:
+        # fn maps ball points row by row, so a stack of draws is one call
+        pts = (rs.rank / rs.rank_divisor)[..., None] * rs.sign
+        flat = pts.reshape(-1, pts.shape[-1])
+        out = np.asarray(self.fn(flat), dtype=float)
+        if out.shape != flat.shape:
             raise InvalidScoreError(
-                f"vector score returned shape {out.shape}, expected {pts.shape}"
+                f"vector score returned shape {out.shape}, expected {flat.shape}"
             )
         if not np.isfinite(out).all():
             raise InvalidScoreError("vector score returned non-finite values")
-        return out
+        return out.reshape(pts.shape)
 
     def score_cov(self, d, grid=None):
         if self.cov is not None:

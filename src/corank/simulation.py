@@ -4,21 +4,26 @@ A study draws the groups from a named law, shifts the last group by
 each delta and runs each requested method on one study grid.  Each
 (replication, delta) draw is checked and pooled once, by
 ``rank_tests.validate_groups``, the check that opens every public
-K-group test; the ``METHODS`` registry then runs each method's body,
-its public test without that check, on the pooled draw, so a study
-records what the public calls would return on the same draws.  Its
-record is two ``(methods, deltas, replications)`` float arrays: the
-statistic and the p-value of every call, NaN for a call that failed on
-a degenerate draw.  The power curve counts p-values below alpha along
-the replication axis, out of the calls that returned; the null draws are the
-statistics of a study with the single delta 0.  Replication r uses the
-generator seeded with ``[master_seed, r]``, so the record is
-reproducible and independent of the order (or any parallel schedule) in
-which replications run.  The same base draws are reused across deltas
-and methods (common random numbers), which sharpens power comparisons
-at no cost.  Each method runs every delta of a replication in turn, so
-its consecutive assignments on the study grid see nearly the same
-sample, which is what the warm start of ``center_outward`` keeps.
+K-group test.  The draws of a block of replications are then stacked
+into one read-only ``(B, n, d)`` array, and the ``METHODS`` registry
+runs each method's body, its public test without that check, once on
+the whole stack, so a study records what the public calls would return
+on the same draws.  A block holds at least one replication and, beyond
+that, at most ``BLOCK_BYTES`` (8 MB) of stacked draws.  Its record is
+two ``(methods, deltas, replications)`` float arrays: the statistic and
+the p-value of every call, NaN for a call that failed on a degenerate
+draw.  A draw fails alone inside a block.  The power curve counts
+p-values below alpha along the replication axis, out of the calls that
+returned; the null draws are the statistics of a study with the single
+delta 0.  Replication r uses the generator seeded with
+``[master_seed, r]``, so the record is reproducible and independent of
+the order (or any parallel schedule) in which replications run.  The
+same base draws are reused across deltas and methods (common random
+numbers), which sharpens power comparisons at no cost.  Within a block
+the assignments run method by method, each over every replication and
+delta in turn, so a method's consecutive assignments on the study grid
+see nearly the same sample, which is what the warm start of
+``center_outward`` keeps.
 """
 
 from __future__ import annotations
@@ -46,17 +51,23 @@ from .baselines import (  # noqa: F401
     sphericized_center_outward_test,
 )
 from .distributions import make_law, sample, shift
-from .errors import DegenerateInputError, InvalidSpecError, SimulationError
+from .errors import (
+    DataError,
+    DegenerateInputError,
+    InvalidSpecError,
+    SimulationError,
+)
 from .rank_tests import co_test, group_design, validate_groups
 from .rank_tests import two_sample_test  # noqa: F401
 from .scores import SCORES, get_score
 from .sphere_grid import build_grid, make_spec, symmetrizes
 
 # study -> method -> call(pooled, sizes, score, scatter, grid): the body of
-# the method's public test, run on groups that rank_tests.validate_groups
-# has checked and pooled.  Each call looks its body up in this module's
-# globals when it runs, so rebinding a module-level name reaches the
-# studies and the command line alike.
+# the method's public test, run on a (B, n, d) stack of draws that
+# rank_tests.validate_groups has checked and pooled, returning its
+# (result, errors) as rank_tests.co_test does.  Each call looks its body up
+# in this module's globals when it runs, so rebinding a module-level name
+# reaches the studies and the command line alike.
 _BOTH_STUDIES = {
     "co-sphericized": lambda p, sizes, score, scatter, grid: _sphericized(
         p, sizes, score, scatter, grid),
@@ -123,6 +134,10 @@ def _tuple_of(read):
         return tuple(read(v) for v in value)
     return convert
 
+
+# A block of replications holds at least one replication and, beyond that,
+# at most this many bytes of stacked draws
+BLOCK_BYTES = 8 * 2**20
 
 # field -> conversion to its type; a TypeError or ValueError names the field
 _FIELD_TYPES = {
@@ -209,6 +224,8 @@ class SimConfig:
                 data = json.load(fh)
             except json.JSONDecodeError as err:
                 raise InvalidSpecError(f"{path}: not valid JSON: {err}") from err
+            except UnicodeDecodeError as err:
+                raise DataError(f"{path}: {err}") from None
         if not isinstance(data, dict):
             raise InvalidSpecError(f"{path}: config must be a JSON object")
         return cls.from_dict(data)
@@ -248,16 +265,27 @@ class PowerCurve:
         return self._row(method, delta)["mc_se"]
 
 
-def _replicate(config):
-    """Run every call of the study; return its statistics and p-values.
+def _draws(config, law, rep):
+    """Replication ``rep``'s pooled draw at each delta, checked and pooled."""
+    rng = np.random.default_rng([config.master_seed, rep])
+    bases = [sample(law, nk, rng) for nk in config.sizes]
+    return [validate_groups(bases[:-1] + [shift(bases[-1], delta)])[0]
+            for delta in config.deltas]
 
-    Both arrays have shape (methods, deltas, replications).  A call that
-    raises ``DegenerateInputError`` (a draw the method cannot handle,
-    such as a numerically singular scatter matrix) is recorded as failed,
-    with a NaN statistic and p-value, and the study goes on.  Any other
+
+def _replicate(config, reps=None):
+    """Run every call of the study's replications ``reps``; return its record.
+
+    ``reps`` is a range of replications, all of them by default.  Both
+    arrays have shape (methods, deltas, len(reps)).  A call that raises
+    ``DegenerateInputError`` (a draw the method cannot handle, such as a
+    numerically singular scatter matrix) is recorded as failed, with a
+    NaN statistic and p-value, and the study goes on.  Any other
     exception, or a (method, delta) row none of whose calls returns,
-    raises ``SimulationError``.
+    raises ``SimulationError``; of several, the first in replication,
+    method, delta order.
     """
+    reps = range(config.n_replications) if reps is None else reps
     law = make_law(config.law)
     spec = make_spec(
         sum(config.sizes), law.d, n_r=config.n_r, n_s=config.n_s,
@@ -268,39 +296,75 @@ def _replicate(config):
     # are evaluated once per study
     score = get_score(config.score, law.d)
     calls = [METHODS[config.study][m] for m in config.methods]
-    shape = (len(calls), len(config.deltas), config.n_replications)
+    n_deltas = len(config.deltas)
+    shape = (len(calls), n_deltas, len(reps))
     statistics, p_values = np.empty(shape), np.empty(shape)
-    last = config.n_replications - 1
-    for rep in range(config.n_replications):
-        rng = np.random.default_rng([config.master_seed, rep])
-        where = f"replication {rep} (seed [{config.master_seed}, {rep}]) failed"
-        try:
-            bases = [sample(law, nk, rng) for nk in config.sizes]
-            draws = [validate_groups(bases[:-1] + [shift(bases[-1], delta)])
-                     for delta in config.deltas]
-        except Exception as err:
-            raise SimulationError(f"{where}: {err}") from err
-        for pooled, _ in draws:  # every method reads the one pooled draw
-            pooled.setflags(write=False)
-        for i, (method, call) in enumerate(zip(config.methods, calls)):
-            for j, (delta, (pooled, sizes)) in enumerate(zip(config.deltas, draws)):
-                try:
-                    result = call(pooled, sizes, score, config.scatter, grid)
-                except DegenerateInputError as err:
-                    statistics[i, j, rep] = p_values[i, j, rep] = np.nan
-                    if rep == last and np.isnan(p_values[i, j]).all():
-                        raise SimulationError(
-                            f"{where}: {method} at delta {delta!r}: {err} "
-                            "(no replication of this method and delta returned)"
-                        ) from err
-                    continue
-                except Exception as err:
-                    raise SimulationError(
-                        f"{where}: {method} at delta {delta!r}: {err}"
-                    ) from err
-                statistics[i, j, rep] = result.statistic
-                p_values[i, j, rep] = result.p_value
+    per_block = max(1, BLOCK_BYTES // (n_deltas * sum(config.sizes) * law.d * 8))
+    for start in range(0, len(reps), per_block):
+        block, stack, late = reps[start:start + per_block], [], None
+        for rep in block:
+            try:
+                stack += _draws(config, law, rep)
+            except Exception as err:
+                late = rep, err
+                break
+        if stack:  # the replications before a draw that fails run first
+            block = block[:len(stack) // n_deltas]
+            cells = slice(start, start + len(block))
+            failures = _run_block(
+                calls, np.stack(stack), (config.sizes, score, config.scatter, grid),
+                statistics[..., cells], p_values[..., cells],
+            )
+            _raise_first(config, reps, block, failures, p_values)
+        if late is not None:
+            rep, err = late
+            raise SimulationError(f"{_where(config, rep)}: {err}") from err
     return statistics, p_values
+
+
+def _where(config, rep):
+    return f"replication {rep} (seed [{config.master_seed}, {rep}]) failed"
+
+
+def _run_block(calls, stack, args, statistics, p_values):
+    """Run each call once on a block's stacked draws; record them in the views.
+
+    ``statistics`` and ``p_values`` are (methods, deltas, replications)
+    views of the block's cells.  Returns the failed draws as
+    (replication in block, method, delta, error), in that order.
+    """
+    stack.setflags(write=False)  # every method reads the one stack
+    n_deltas = statistics.shape[1]
+    failures = []
+    for i, call in enumerate(calls):
+        try:
+            result, errors = call(stack, *args)
+        except Exception as err:  # the body failed every draw of the block
+            result, errors = None, dict.fromkeys(range(len(stack)), err)
+        if result is None:
+            statistics[i] = p_values[i] = np.nan
+        else:
+            statistics[i] = result.statistic.reshape(-1, n_deltas).T
+            p_values[i] = result.p_value.reshape(-1, n_deltas).T
+        failures += [(k // n_deltas, i, k % n_deltas, err) for k, err in errors.items()]
+    return sorted(failures, key=lambda failure: failure[:3])
+
+
+def _raise_first(config, reps, block, failures, p_values):
+    """Raise the first of a block's failures that stops the study, if any.
+
+    A ``DegenerateInputError`` stops it only at the last replication of
+    ``reps``, and only if no call of its (method, delta) row returned.
+    """
+    for r, i, j, err in failures:
+        where = (f"{_where(config, block[r])}: "
+                 f"{config.methods[i]} at delta {config.deltas[j]!r}")
+        if not isinstance(err, DegenerateInputError):
+            raise SimulationError(f"{where}: {err}") from err
+        if block[r] == reps[-1] and np.isnan(p_values[i, j]).all():
+            raise SimulationError(
+                f"{where}: {err} (no replication of this method and delta returned)"
+            ) from err
 
 
 def run_power_study(config):

@@ -232,7 +232,8 @@ class RanksSigns:
     ``rank`` takes values in {0, 1/2, 1, ..., n_r}; the zero vector
     stands in as the sign of an observation mapped to the origin.
     Normalized ranks are ``rank / (n_r + 1)``.  Elliptical ranks reuse
-    this container with ``n_r = n`` (divisor ``n + 1``).
+    this container with ``n_r = n`` (divisor ``n + 1``), and may carry a
+    leading stack axis, one (n,) rank and (n, d) sign block per draw.
     """
 
     rank: np.ndarray
@@ -241,11 +242,11 @@ class RanksSigns:
 
     @property
     def n(self):
-        return self.rank.shape[0]
+        return self.rank.shape[-1]
 
     @property
     def d(self):
-        return self.sign.shape[1]
+        return self.sign.shape[-1]
 
     @property
     def rank_divisor(self):

@@ -400,6 +400,49 @@ def test_a_file_that_cannot_be_opened_or_written_is_data_error(tmp_path, two_fil
         assert repr(path) in captured.err and "Traceback" not in captured.err
 
 
+def test_a_file_that_does_not_decode_is_data_error(tmp_path, two_files, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"y1,y2\n1,2\n3,4\n5,6\n7,\xff\n")
+    beta0 = tmp_path / "beta0.csv"
+    beta0.write_bytes(b"0.5,\xff\n")
+    reg = tmp_path / "reg.csv"
+    write_csv(reg, ["y1", "y2", "c1"], np.random.default_rng(75).standard_normal((10, 3)))
+    cpath = tmp_path / "study.json"
+    cpath.write_bytes(b'{"law": "gauss\xff"}')
+    for argv, path in [
+        (["two-sample", "--input", two_files[0], str(bad)], bad),
+        (["regression", "--input", str(reg), "--response-cols", "y1,y2",
+          "--covariate-cols", "c1", "--beta0", str(beta0)], beta0),
+        (["simulate", "--config", str(cpath)], cpath),
+    ]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"corank: data error: {path}: ")
+        assert "Traceback" not in captured.err
+
+
+def test_simulate_opens_out_before_the_study_runs(tmp_path, monkeypatch, capsys):
+    cpath = tmp_path / "study.json"
+    cpath.write_text(json.dumps({"sizes": [5, 5], "n_replications": 1}))
+    studies = []
+    monkeypatch.setattr(corank.cli, "run_power_study", studies.append)
+    nowhere = str(tmp_path / "no-such-dir" / "out.csv")
+    assert main(["simulate", "--config", str(cpath), "--out", nowhere]) == 2
+    assert repr(nowhere) in capsys.readouterr().err
+    assert studies == []
+
+    # so a study that then fails leaves --out truncated
+    def failing(config):
+        raise corank.SimulationError("injected failure")
+
+    monkeypatch.setattr(corank.cli, "run_power_study", failing)
+    out = tmp_path / "curve.csv"
+    out.write_text("an earlier curve\n")
+    assert main(["simulate", "--config", str(cpath), "--out", str(out)]) == 3
+    assert out.read_text() == ""
+
+
 def test_negative_seed_is_usage_error(capsys):
     # n = 14 draws its two tie-break directions with the seed, n = 11 draws none
     for n in ("11", "14"):

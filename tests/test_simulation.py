@@ -26,9 +26,11 @@ from corank import (
     run_power_study,
     rank_tests,
     sample,
+    sample_covariance,
     scores,
     shift,
     simulation,
+    sphericize,
     sphericized_center_outward_test,
     two_sample_test,
 )
@@ -344,6 +346,26 @@ def test_study_survives_a_degenerate_draw():
     assert not np.isnan(draws["co"]).any()
 
 
+def test_an_error_on_one_draw_names_that_draw(monkeypatch):
+    # the fourth assignment is co's at replication 1, delta 0.6, in the
+    # study's order, however the replications are blocked
+    assign = rank_tests.empirical_map
+    for block_bytes in (simulation.BLOCK_BYTES, 1):
+        calls = []
+
+        def failing_fourth(sample, grid):
+            calls.append(None)
+            if len(calls) == 4:
+                raise InvalidInputError("injected failure")
+            return assign(sample, grid)
+
+        monkeypatch.setattr(rank_tests, "empirical_map", failing_fourth)
+        monkeypatch.setattr(simulation, "BLOCK_BYTES", block_bytes)
+        with pytest.raises(SimulationError, match=r"^replication 1 \(seed \[17, 1\]\) "
+                           r"failed: co at delta 0\.6: injected failure$"):
+            run_power_study(small_config())
+
+
 def test_a_method_failing_every_draw_raises(monkeypatch):
     def degenerate(*args, **kwargs):
         raise DegenerateInputError("injected degenerate draw")
@@ -375,36 +397,41 @@ def test_power_study_scores_its_grid_once(monkeypatch):
 
 
 def test_each_method_runs_every_delta_of_a_replication_in_turn(monkeypatch):
-    # a method's calls on one replication follow each other on the study
-    # grid, so each starts warm from the one before
+    # a method's assignments on one block follow each other on the study
+    # grid, replication by replication and delta by delta, so each starts
+    # warm from the one before
     cfg = small_config(deltas=(0.0, 0.3, 0.6), methods=("co", "co-sphericized"),
                        n_replications=2)
-    # each spy records the first row of the shifted group in the pooled draw
+    # the spy records every sample the per-draw assignment is given
     calls = []
-    co = simulation.co_test
-    sphericized = simulation._sphericized
+    assign = rank_tests.empirical_map
 
-    def spy_co(method, pooled, design, *args):
-        calls.append(("co", pooled[cfg.sizes[0], 0]))
-        return co(method, pooled, design, *args)
+    def spy(sample, grid):
+        calls.append(np.array(sample))
+        return assign(sample, grid)
 
-    def spy_sphericized(pooled, sizes, *args):
-        calls.append(("co-sphericized", pooled[sizes[0], 0]))
-        return sphericized(pooled, sizes, *args)
-
-    monkeypatch.setattr(simulation, "co_test", spy_co)
-    monkeypatch.setattr(simulation, "_sphericized", spy_sphericized)
+    monkeypatch.setattr(rank_tests, "empirical_map", spy)
     statistics, _ = simulation._replicate(cfg)
+    monkeypatch.undo()
     grid = build_grid(make_spec(24, 2, symmetrize=True), tie_break_seed=17)
-    want = []
+    pooled = {}
     for r in range(2):
         rng = np.random.default_rng([cfg.master_seed, r])
         x, y = (sample(make_law(cfg.law), nk, rng) for nk in cfg.sizes)
-        want += [(m, y[0, 0] + delta) for m in cfg.methods for delta in cfg.deltas]
-        # the record keeps its (method, delta, replication) indices
         for j, delta in enumerate(cfg.deltas):
+            pooled[r, delta] = np.vstack([x, y + delta])
+            # the record keeps its (method, delta, replication) indices
             assert statistics[0, j, r] == two_sample_test(x, y + delta, grid=grid).statistic
-    assert calls == want
+    # method -> the sample its assignment sees for a pooled draw
+    seen = {
+        "co": lambda p: p,
+        "co-sphericized": lambda p: sphericize(p, sample_covariance(p), root="cholesky"),
+    }
+    want = [seen[m](pooled[r, delta]) for m in cfg.methods for r in range(2)
+            for delta in cfg.deltas]
+    assert len(calls) == len(want)
+    for got, expected in zip(calls, want):
+        assert np.array_equal(got, expected)
 
 
 # (study, method) -> the public test a study's record must reproduce
@@ -451,3 +478,53 @@ def test_a_study_records_what_the_public_tests_return(study, sizes, scatter):
                 want = PUBLIC_TESTS[study, method](groups, cfg, grid)
                 assert statistics[i, j, r] == want.statistic, (method, delta, r)
                 assert p_values[i, j, r] == want.p_value, (method, delta, r)
+
+
+# a two-sample power study and a manova null study with every method
+BLOCKED_STUDIES = {
+    "power": SimConfig(law="t3", sizes=(12, 12), deltas=(0.0, 0.5),
+                       methods=("co", "co-sphericized", "elliptical", "hotelling"),
+                       score="vdw", n_replications=5, master_seed=3),
+    "manova-null": SimConfig(study="manova", law="gauss", sizes=(8, 8, 8),
+                             methods=("co", "co-sphericized", "elliptical", "pillai"),
+                             n_replications=5, master_seed=4),
+    "degenerate": DEGENERATE_DRAW,
+}
+
+
+@pytest.mark.parametrize("name", BLOCKED_STUDIES)
+def test_blocks_of_replications_keep_the_record(name, monkeypatch):
+    # one block of every replication, or one replication per block
+    cfg = BLOCKED_STUDIES[name]
+    whole = simulation._replicate(cfg)
+    assert np.isnan(whole[0]).any() == (name == "degenerate")
+    # the replications of a range are those columns of the whole record
+    part = simulation._replicate(cfg, reps=range(1, 3))
+    monkeypatch.setattr(simulation, "BLOCK_BYTES", 1)
+    apart = simulation._replicate(cfg)
+    for got, want, cut in zip(apart, whole, part):
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(cut, want[..., 1:3], equal_nan=True)
+
+
+@pytest.mark.parametrize("scatter", ["sample", "tyler"])
+@pytest.mark.parametrize("study, sizes", [("two_sample", (14, 11)),
+                                          ("manova", (10, 12, 9))])
+def test_a_failing_draw_leaves_its_neighbours_in_the_stack_alone(study, sizes, scatter):
+    law = make_law("t3")
+    rng = np.random.default_rng(43)
+    draws = [np.vstack([sample(law, nk, rng) for nk in sizes]) for _ in range(3)]
+    draws[1][:, 1] = 0.5  # a constant coordinate: every scatter is singular
+    stack = np.stack(draws)
+    stack.setflags(write=False)
+    grid = build_grid(make_spec(sum(sizes), 2, symmetrize=True))
+    for method, body in simulation.METHODS[study].items():
+        result, errors = body(stack, sizes, "vdw", scatter, grid)
+        # only co, which does not read a scatter, ranks the singular draw
+        assert set(errors) == (set() if method == "co" else {1}), method
+        assert np.isnan(result.statistic[1]) == (method != "co")
+        for k in (0, 2):
+            alone, none = body(stack[k:k + 1], sizes, "vdw", scatter, grid)
+            assert not none
+            assert result.statistic[k] == alone.statistic[0], (method, k)
+            assert result.p_value[k] == alone.p_value[0], (method, k)
