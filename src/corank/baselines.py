@@ -214,22 +214,6 @@ SCATTERS = {
 }
 
 
-def _cholesky(matrix, errors):
-    """Lower Cholesky factors of a stack; a draw that has none fails alone."""
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        pass
-    low = np.zeros_like(matrix)
-    for k, mat in enumerate(matrix):
-        try:
-            low[k] = np.linalg.cholesky(mat)
-        except np.linalg.LinAlgError as err:
-            errors.setdefault(k, DegenerateInputError(
-                f"scatter matrix not positive definite: {err}"))
-    return low
-
-
 def _sphericize(z, matrix, location, root, errors):
     """Each sample of a ``(B, n, d)`` stack standardized by its own scatter.
 
@@ -239,15 +223,20 @@ def _sphericize(z, matrix, location, root, errors):
     """
     diffs = z - location[:, None, :]
     if root == "cholesky":
-        low = _cholesky(matrix, errors)
         for k in range(len(z)):
             if k in errors:
+                continue
+            try:
+                low = np.linalg.cholesky(matrix[k])
+            except np.linalg.LinAlgError as err:
+                errors[k] = DegenerateInputError(
+                    f"scatter matrix not positive definite: {err}")
                 continue
             # L x = diffs' solved as U' x = diffs' with U = low.T, the Fortran
             # view scipy.linalg.solve_triangular passes LAPACK for a C-ordered
             # factor, so z is the same to the bit; the inputs are finite, and
             # diffs is this call's own scratch to overwrite
-            x, info = dtrtrs(low[k].T, diffs[k].T, lower=0, trans=1, overwrite_b=1)
+            x, info = dtrtrs(low.T, diffs[k].T, lower=0, trans=1, overwrite_b=1)
             if info != 0:
                 errors[k] = DegenerateInputError(
                     f"triangular solve failed (LAPACK info {info})")

@@ -9,7 +9,7 @@ into one read-only ``(B, n, d)`` array, and the ``METHODS`` registry
 runs each method's body, its public test without that check, once on
 the whole stack, so a study records what the public calls would return
 on the same draws.  A block holds at least one replication and, beyond
-that, at most ``BLOCK_BYTES`` (8 MB) of stacked draws.  Its record is
+that, at most ``BLOCK_BYTES`` (128 KB) of stacked draws.  Its record is
 two ``(methods, deltas, replications)`` float arrays: the statistic and
 the p-value of every call, NaN for a call that failed on a degenerate
 draw.  A draw fails alone inside a block.  The power curve counts
@@ -136,8 +136,11 @@ def _tuple_of(read):
 
 
 # A block of replications holds at least one replication and, beyond that,
-# at most this many bytes of stacked draws
-BLOCK_BYTES = 8 * 2**20
+# at most this many bytes of stacked draws.  A block's bodies hold several
+# arrays of its size: peak resident memory rose 53 MB with 8 MB blocks,
+# while replications a second level off from 16 replications a block of
+# 25 + 25 (README, "Scale").  128 KB holds 54 of those and 6 of 200 + 200.
+BLOCK_BYTES = 2**17
 
 # field -> conversion to its type; a TypeError or ValueError names the field
 _FIELD_TYPES = {
